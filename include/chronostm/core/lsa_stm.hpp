@@ -172,7 +172,8 @@ class TxStats {
 
     // Striped-filter traffic: `stripe_fast_hits` counts extension and
     // commit-time validations the per-stripe comparison admitted without
-    // walking the read set; `stripe_walks` the times the comparison found a
+    // walking the read set (extension_fast_hits + validation_fast_hits,
+    // derived at read time); `stripe_walks` the times the comparison found a
     // touched stripe bumped and forced the O(R) walk (a disjoint writer in
     // another stripe moves neither). Both 0 with the filter off.
     std::uint64_t stripe_fast_hits = 0;
@@ -252,7 +253,12 @@ struct AbortTx {
     bool freshness = false;
 };
 
-struct StatsBlock {
+// Per-context statistics, one block per thread context. Each block has a
+// single writer (its owning context; helpers count into their OWN block),
+// so an increment is a relaxed load plus store -- no lock-prefixed RMW --
+// and readers on other threads see a recent, untorn value. Padded to its
+// own cache lines: contexts' blocks are allocated back to back.
+struct alignas(64) StatsBlock {
     std::atomic<std::uint64_t> commits{0};
     std::atomic<std::uint64_t> aborts{0};
     std::atomic<std::uint64_t> helped_commits{0};
@@ -261,7 +267,6 @@ struct StatsBlock {
     std::atomic<std::uint64_t> extensions{0};
     std::atomic<std::uint64_t> extension_fast_hits{0};
     std::atomic<std::uint64_t> validation_fast_hits{0};
-    std::atomic<std::uint64_t> stripe_fast_hits{0};
     std::atomic<std::uint64_t> stripe_walks{0};
     std::atomic<std::uint64_t> ro_commits{0};
     // Nanoseconds internally; TxStats surfaces microseconds.
@@ -273,16 +278,25 @@ struct StatsBlock {
     std::atomic<std::uint64_t> injected_faults{0};
 };
 
+// Single-writer increment of a StatsBlock counter.
+inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+    c.store(c.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+}
+
 // Accumulate one stats block's fast-path counters into a TxStats; shared
-// by both engines' per-context and aggregate stats assembly.
+// by both engines' per-context and aggregate stats assembly. Every
+// stripe-filter fast hit is an extension or a validation fast hit, so
+// stripe_fast_hits is their sum rather than a counter of its own.
 inline void fill_fast_path_stats(TxStats& s, const StatsBlock& b) {
-    s.extensions += b.extensions.load(std::memory_order_relaxed);
-    s.extension_fast_hits +=
+    const std::uint64_t ext_fast =
         b.extension_fast_hits.load(std::memory_order_relaxed);
-    s.validation_fast_hits +=
+    const std::uint64_t val_fast =
         b.validation_fast_hits.load(std::memory_order_relaxed);
-    s.stripe_fast_hits +=
-        b.stripe_fast_hits.load(std::memory_order_relaxed);
+    s.extensions += b.extensions.load(std::memory_order_relaxed);
+    s.extension_fast_hits += ext_fast;
+    s.validation_fast_hits += val_fast;
+    s.stripe_fast_hits += ext_fast + val_fast;
     s.stripe_walks += b.stripe_walks.load(std::memory_order_relaxed);
     s.ro_commits += b.ro_commits.load(std::memory_order_relaxed);
     s.backoff_us += b.backoff_ns.load(std::memory_order_relaxed) / 1000;
@@ -294,80 +308,106 @@ inline void fill_fast_path_stats(TxStats& s, const StatsBlock& b) {
     s.injected_faults += b.injected_faults.load(std::memory_order_relaxed);
 }
 
-// Engine-global irrevocability gate. Word layout: bit 0 holds the
-// irrevocability token, the upper bits count update commits currently in
-// flight (each worth 2). Update commits enter before taking their first
-// lock and leave after their last unlock or rollback; a transaction that
-// escalates first claims the token bit (stalling NEW committers at the
-// gate) and then waits for the in-flight count to drain to zero, so the
-// irrevocable attempt runs against a quiescent commit pipeline: no lock is
-// held by anyone else, no version can change under its feet, and its own
-// commit needs no validation. Read-only commits never touch the gate --
-// they cannot invalidate anything.
-struct IrrevGate {
-    std::atomic<std::uint64_t> word{0};
+// One context's "update commit in flight" flag, on its own cache line so
+// the commit path writes nothing another context writes.
+struct alignas(64) CommitFlag {
+    std::atomic<std::uint32_t> in_commit{0};
+};
+
+// Engine-global irrevocability gate: a token flag plus one CommitFlag per
+// context. Update commits raise their flag before taking their first lock
+// and lower it after their last unlock or rollback; a transaction that
+// escalates first claims the token (stalling NEW committers at the door)
+// and then waits until every enrolled flag reads 0, so the irrevocable
+// attempt runs against a quiescent commit pipeline: no lock is held by
+// anyone else, no version can change under its feet, and its own commit
+// needs no validation. Read-only commits never touch the gate -- they
+// cannot invalidate anything.
+//
+// Door and drain pair Dekker-style: the committer stores its flag and then
+// loads the token, the acquirer sets the token and then loads every flag,
+// all seq_cst -- so at least one side sees the other (DESIGN.md
+// "Irrevocability via quiescence"). A committer's only shared write is its
+// own flag's line; the token word is written only by escalation.
+class IrrevGate {
+ public:
     // Identity of the current token holder (the TxDesc in the LSA engine,
     // the thread context in the orec engine) so conflict arbitration can
     // exempt it from kills.
     std::atomic<const void*> holder{nullptr};
 
-    void enter_commit() {
-        std::uint64_t w = word.load(std::memory_order_relaxed);
+    // A new context's flag; it lives as long as the gate.
+    CommitFlag* enroll() {
+        std::lock_guard<std::mutex> g(mu_);
+        flags_.push_back(std::make_unique<CommitFlag>());
+        return flags_.back().get();
+    }
+
+    void enter_commit(CommitFlag& f) {
         for (;;) {
-            if (w & 1u) {
-                // An irrevocable transaction is running; it is guaranteed
-                // to finish, so waiting here is bounded.
+            f.in_commit.store(1, std::memory_order_seq_cst);
+            if (!token_.load(std::memory_order_seq_cst)) return;
+            // An irrevocable transaction is running; it is guaranteed to
+            // finish, so waiting here (flag down) is bounded.
+            f.in_commit.store(0, std::memory_order_release);
+            while (token_.load(std::memory_order_acquire))
                 std::this_thread::yield();
-                w = word.load(std::memory_order_relaxed);
-                continue;
-            }
-            if (word.compare_exchange_weak(w, w + 2,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed))
-                return;
         }
     }
-    void exit_commit() { word.fetch_sub(2, std::memory_order_acq_rel); }
+    static void exit_commit(CommitFlag& f) {
+        f.in_commit.store(0, std::memory_order_release);
+    }
 
     void acquire(const void* who) {
-        std::uint64_t w = word.load(std::memory_order_relaxed);
-        for (;;) {
-            if (w & 1u) {  // one irrevocable transaction at a time
-                std::this_thread::yield();
-                w = word.load(std::memory_order_relaxed);
-                continue;
-            }
-            if (word.compare_exchange_weak(w, w | 1u,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed))
-                break;
+        bool t = false;
+        // One irrevocable transaction at a time.
+        while (!token_.compare_exchange_strong(t, true,
+                                               std::memory_order_seq_cst,
+                                               std::memory_order_relaxed)) {
+            t = false;
+            std::this_thread::yield();
         }
         holder.store(who, std::memory_order_release);
         // Drain: in-flight committers finish (or roll back) on their own;
-        // none of them can block on us because we hold no locks yet.
-        std::uint64_t spins = 0;
-        while (word.load(std::memory_order_acquire) >> 1 != 0) {
-            cpu_relax();
-            if ((++spins & 63u) == 0) std::this_thread::yield();
+        // none of them can block on us because we hold no locks yet, and
+        // a committer arriving after the token sees it and stays out. A
+        // context enrolled after this scan starts raises its flag only
+        // after enrolling, hence after the token was set, so it stays out
+        // too.
+        std::lock_guard<std::mutex> g(mu_);
+        for (const auto& f : flags_) {
+            std::uint64_t spins = 0;
+            while (f->in_commit.load(std::memory_order_seq_cst) != 0) {
+                cpu_relax();
+                if ((++spins & 63u) == 0) std::this_thread::yield();
+            }
         }
     }
     void release() {
         holder.store(nullptr, std::memory_order_release);
-        word.fetch_and(~std::uint64_t{1}, std::memory_order_acq_rel);
+        token_.store(false, std::memory_order_release);
     }
     bool held_by(const void* who) const {
         return who != nullptr &&
                holder.load(std::memory_order_acquire) == who;
     }
+    bool active() const {
+        return token_.load(std::memory_order_acquire);
+    }
+
+ private:
+    alignas(64) std::atomic<bool> token_{false};
+    std::mutex mu_;
+    std::vector<std::unique_ptr<CommitFlag>> flags_;
 };
 
 // Exception-safe gate exit: commit() arms this after enter_commit() so
 // every path out -- success, rollback returns, AbortTx, or a throwing
-// value copy during write-back -- decrements the in-flight count.
+// value copy during write-back -- lowers the context's flag.
 struct GateGuard {
-    IrrevGate* gate = nullptr;
+    CommitFlag* flag = nullptr;
     ~GateGuard() {
-        if (gate) gate->exit_commit();
+        if (flag) IrrevGate::exit_commit(*flag);
     }
 };
 
@@ -774,8 +814,10 @@ struct AccessSets {
 // slots are claimable only under the current sequence number, and slot
 // arrays only ever grow (retired arrays are kept until the descriptor
 // dies), so a stale helper can always dereference what it loaded and its
-// claim CAS is guaranteed to fail.
-struct TxDesc {
+// claim CAS is guaranteed to fail. Padded to its own cache lines: the
+// owner stores `status` several times per update commit, and contexts'
+// descriptors are allocated back to back.
+struct alignas(64) TxDesc {
     std::atomic<int> status{kTxIdle};
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> new_ts{0};
@@ -854,7 +896,7 @@ inline bool help_apply(TxDesc* d, StatsBlock* stats) {
         helped = true;
     }
     if (helped && stats != nullptr)
-        stats->helped_commits.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats->helped_commits);
     return helped;
 }
 
@@ -1054,7 +1096,7 @@ class Transaction {
         if (!*token_held_) {
             gate_->acquire(desc_);
             *token_held_ = true;
-            stats_->escalations.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->escalations);
         }
         // A snapshot that fell back to old versions cannot serialize in
         // the present; everything else is settled by one full validation
@@ -1098,10 +1140,12 @@ class Transaction {
                 std::uint64_t dev, detail::StatsBlock* stats,
                 detail::TxDesc* desc, detail::AccessSets* sets,
                 detail::EpochStripes* stripes,
-                detail::IrrevGate* gate, bool* token_held)
+                detail::IrrevGate* gate, detail::CommitFlag* commit_flag,
+                bool* token_held)
         : clk_(clk), cfg_(cfg), cm_(cm), dev_(dev), stats_(stats),
           desc_(desc), sets_(sets), stripes_(stripes), gate_(gate),
-          token_held_(token_held), irrevocable_(*token_held) {
+          commit_flag_(commit_flag), token_held_(token_held),
+          irrevocable_(*token_held) {
         sets_->reset();
         CHRONOSTM_FP_SINK(&stats_->injected_faults);
         // Per-stripe epoch snapshots are taken lazily at the stripe's
@@ -1201,7 +1245,7 @@ class Transaction {
             // preempted, not merely slow; record the stall once per wait.
             if (spins > cfg_.lock_spin && !counted_stall) {
                 counted_stall = true;
-                stats_->stall_waits.fetch_add(1, std::memory_order_relaxed);
+                detail::bump(stats_->stall_waits);
             }
             if (spins > budget) {
                 if (irrevocable_) {
@@ -1209,8 +1253,7 @@ class Transaction {
                 } else {
                     // Give up on the stalled owner and yield through the
                     // contention seam (run() backs off, then escalates).
-                    stats_->stalled_aborts.fetch_add(
-                        1, std::memory_order_relaxed);
+                    detail::bump(stats_->stalled_aborts);
                     throw detail::AbortTx{};
                 }
             }
@@ -1424,21 +1467,18 @@ class Transaction {
             std::uint64_t fresh[detail::EpochStripes::kMaxStripes];
             if (stripes_clean(fresh)) {
                 upper_ = nu;
-                stats_->extensions.fetch_add(1, std::memory_order_relaxed);
-                stats_->extension_fast_hits.fetch_add(
-                    1, std::memory_order_relaxed);
-                stats_->stripe_fast_hits.fetch_add(
-                    1, std::memory_order_relaxed);
+                detail::bump(stats_->extensions);
+                detail::bump(stats_->extension_fast_hits);
                 return true;
             }
-            stats_->stripe_walks.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->stripe_walks);
             if (!walk_read_set()) {
                 extend_conflict_ = true;
                 return false;
             }
             upper_ = nu;
             reanchor_stripes(fresh);
-            stats_->extensions.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->extensions);
             return true;
         }
         if (!walk_read_set()) {
@@ -1446,7 +1486,7 @@ class Transaction {
             return false;
         }
         upper_ = nu;
-        stats_->extensions.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->extensions);
         return true;
     }
 
@@ -1537,7 +1577,7 @@ class Transaction {
             // Read-only fast path: the snapshot reads are consistent and
             // the transaction serializes at its snapshot -- no stamp drawn,
             // no lock taken, no epoch bump.
-            stats_->ro_commits.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->ro_commits);
             return true;
         }
         // An update transaction that resorted to old versions cannot
@@ -1562,14 +1602,14 @@ class Transaction {
         }
 
         // Update commits run inside the irrevocability gate: held at the
-        // door while a token holder is active, counted in flight otherwise
+        // door while a token holder is active, flagged in flight otherwise
         // so an escalating transaction can drain the pipeline. The token
         // holder itself skips the gate -- it IS the gate. The guard exits
         // on every path out, including exceptions.
         detail::GateGuard gate_guard;
         if (!irrevocable_) {
-            gate_->enter_commit();
-            gate_guard.gate = gate_;
+            gate_->enter_commit(*commit_flag_);
+            gate_guard.flag = commit_flag_;
         }
 
         auto* d = desc_;
@@ -1703,14 +1743,10 @@ class Transaction {
             reads_valid = true;
         } else if (epoch_clean) {
             reads_valid = true;
-            stats_->validation_fast_hits.fetch_add(
-                1, std::memory_order_relaxed);
-            stats_->stripe_fast_hits.fetch_add(1,
-                                               std::memory_order_relaxed);
+            detail::bump(stats_->validation_fast_hits);
         } else {
             if (cfg_.epoch_filter)
-                stats_->stripe_walks.fetch_add(1,
-                                               std::memory_order_relaxed);
+                detail::bump(stats_->stripe_walks);
             reads_valid = sets_->reads.all_of(
                 [this](const detail::ReadSet::Entry& e) {
                     const std::uint64_t cur =
@@ -1861,6 +1897,7 @@ class Transaction {
     detail::AccessSets* sets_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    detail::CommitFlag* commit_flag_;
     // Owning context's token flag: true while the context holds the
     // engine-global irrevocability token (it survives aborted attempts,
     // so the retry of a failed escalation reruns irrevocably).
@@ -1924,7 +1961,7 @@ class ThreadContext {
                 }
                 freshness = tx.commit_stamp_stale_;
             } catch (const detail::AbortTx& abort) {
-                stats_->aborts.fetch_add(1, std::memory_order_relaxed);
+                detail::bump(stats_->aborts);
                 freshness = abort.freshness;
             }
             freshness ? ++freshness_aborts : ++conflict_aborts;
@@ -1946,7 +1983,7 @@ class ThreadContext {
             return;
         gate_->acquire(desc_.get());
         token_held_ = true;
-        stats_->escalations.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->escalations);
     }
 
     // Post-abort pause, outlined so run()'s hot path (begin -> f ->
@@ -1974,12 +2011,12 @@ class ThreadContext {
         const auto b0 = std::chrono::steady_clock::now();
         chronostm::backoff(
             attempt, reinterpret_cast<std::uintptr_t>(stats_.get()));
-        stats_->backoff_ns.fetch_add(
+        detail::bump(
+            stats_->backoff_ns,
             static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - b0)
-                    .count()),
-            std::memory_order_relaxed);
+                    .count()));
     }
 
     // Explicit transaction control for adapters and staged tests; run() is
@@ -1988,23 +2025,22 @@ class ThreadContext {
     // reports success. Statistics are counted like run() does.
     Transaction txn_begin() {
         return Transaction(clk_, cfg_, cm_, dev_, stats_.get(),
-                               desc_.get(), &sets_, stripes_, gate_,
-                               &token_held_);
+                           desc_.get(), &sets_, stripes_, gate_,
+                           commit_flag_, &token_held_);
     }
 
     bool txn_commit(Transaction& tx) {
         if (tx.commit()) {
-            stats_->commits.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->commits);
             if (tx.irrevocable_)
-                stats_->irrevocable_commits.fetch_add(
-                    1, std::memory_order_relaxed);
+                detail::bump(stats_->irrevocable_commits);
             if (token_held_) {
                 gate_->release();
                 token_held_ = false;
             }
             return true;
         }
-        stats_->aborts.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->aborts);
         return false;
     }
 
@@ -2035,7 +2071,8 @@ class ThreadContext {
           stats_(std::move(stats)),
           desc_(std::move(desc)),
           stripes_(stripes),
-          gate_(gate) {}
+          gate_(gate),
+          commit_flag_(gate->enroll()) {}
 
     Clock clk_;
     StmConfig cfg_;
@@ -2045,6 +2082,9 @@ class ThreadContext {
     std::shared_ptr<detail::TxDesc> desc_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    // This context's in-commit flag, enrolled with the gate (which owns
+    // it, so it outlives the context like the descriptor does).
+    detail::CommitFlag* commit_flag_;
     // True while this context holds the engine-global irrevocability
     // token; survives aborted attempts so a failed escalation retries
     // irrevocably instead of re-queuing for the token.
@@ -2138,7 +2178,7 @@ class LsaStm {
     // True while some transaction holds the irrevocability token; exposed
     // for tests and instrumentation.
     bool irrevocable_active() const {
-        return irrev_gate_.word.load(std::memory_order_acquire) & 1u;
+        return irrev_gate_.active();
     }
 
  private:
@@ -2150,9 +2190,9 @@ class LsaStm {
     // their read set touched. filter_stripes=1 degenerates to the old
     // single commit-epoch word.
     detail::EpochStripes epoch_stripes_;
-    // Irrevocability gate (token bit + in-flight update-commit count);
-    // own cache line, touched twice per update commit.
-    alignas(64) detail::IrrevGate irrev_gate_;
+    // Irrevocability gate (token + per-context in-commit flags); an
+    // update commit writes only its own flag, never the token line.
+    detail::IrrevGate irrev_gate_;
     mutable std::mutex mu_;
     std::vector<std::shared_ptr<detail::StatsBlock>> blocks_;
     std::vector<std::shared_ptr<detail::TxDesc>> descs_;

@@ -342,7 +342,7 @@ class OrecTransaction {
         if (!*token_held_) {
             gate_->acquire(token_held_);
             *token_held_ = true;
-            stats_->escalations.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->escalations);
         }
         if (!walk_read_set()) throw detail::AbortTx{};
         irrevocable_ = true;
@@ -403,10 +403,12 @@ class OrecTransaction {
                     detail::OrecAccessSets* sets,
                     detail::RecentStamps* recent,
                     detail::EpochStripes* stripes,
-                    detail::IrrevGate* gate, bool* token_held)
+                    detail::IrrevGate* gate, detail::CommitFlag* commit_flag,
+                    bool* token_held)
         : clk_(clk), cfg_(cfg), stm_(stm), dev_(dev), stats_(stats),
           sets_(sets), recent_(recent), stripes_(stripes), gate_(gate),
-          token_held_(token_held), irrevocable_(*token_held) {
+          commit_flag_(commit_flag), token_held_(token_held),
+          irrevocable_(*token_held) {
         sets_->reset();
         cache_table();
         CHRONOSTM_FP_SINK(&stats_->injected_faults);
@@ -567,21 +569,18 @@ class OrecTransaction {
             std::uint64_t fresh[detail::EpochStripes::kMaxStripes];
             if (stripes_clean(fresh)) {
                 upper_ = nu;
-                stats_->extensions.fetch_add(1, std::memory_order_relaxed);
-                stats_->extension_fast_hits.fetch_add(
-                    1, std::memory_order_relaxed);
-                stats_->stripe_fast_hits.fetch_add(
-                    1, std::memory_order_relaxed);
+                detail::bump(stats_->extensions);
+                detail::bump(stats_->extension_fast_hits);
                 return true;
             }
-            stats_->stripe_walks.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->stripe_walks);
             if (!walk_read_set()) {
                 extend_conflict_ = true;
                 return false;
             }
             upper_ = nu;
             reanchor_stripes(fresh);
-            stats_->extensions.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->extensions);
             return true;
         }
         if (!walk_read_set()) {
@@ -589,7 +588,7 @@ class OrecTransaction {
             return false;
         }
         upper_ = nu;
-        stats_->extensions.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->extensions);
         return true;
     }
 
@@ -635,14 +634,12 @@ class OrecTransaction {
                 if (!stalled) {
                     stalled = true;
                     anchor = clk_.get_time();
-                    stats_->stall_waits.fetch_add(
-                        1, std::memory_order_relaxed);
+                    detail::bump(stats_->stall_waits);
                 }
                 if (spins > budget ||
                     ((spins & 63u) == 0 &&
                      clk_.get_time() - anchor > cfg_.stall_ts_budget)) {
-                    stats_->stalled_aborts.fetch_add(
-                        1, std::memory_order_relaxed);
+                    detail::bump(stats_->stalled_aborts);
                     throw detail::AbortTx{};
                 }
             }
@@ -666,6 +663,7 @@ class OrecTransaction {
     detail::RecentStamps* recent_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    detail::CommitFlag* commit_flag_;
     // Owning context's token flag: true while the context holds the
     // engine-global irrevocability token (it survives aborted attempts,
     // so the retry of a failed escalation reruns irrevocably).
@@ -717,7 +715,7 @@ class OrecThreadContext {
                 }
                 freshness = tx.commit_stamp_stale_;
             } catch (const detail::AbortTx& abort) {
-                stats_->aborts.fetch_add(1, std::memory_order_relaxed);
+                detail::bump(stats_->aborts);
                 freshness = abort.freshness;
             }
             freshness ? ++freshness_aborts : ++conflict_aborts;
@@ -736,7 +734,7 @@ class OrecThreadContext {
             return;
         gate_->acquire(&token_held_);
         token_held_ = true;
-        stats_->escalations.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->escalations);
     }
 
     // Post-abort pause, outlined to keep run()'s no-abort hot path small
@@ -758,33 +756,32 @@ class OrecThreadContext {
         const auto b0 = std::chrono::steady_clock::now();
         chronostm::backoff(
             attempt, reinterpret_cast<std::uintptr_t>(stats_.get()));
-        stats_->backoff_ns.fetch_add(
+        detail::bump(
+            stats_->backoff_ns,
             static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - b0)
-                    .count()),
-            std::memory_order_relaxed);
+                    .count()));
     }
 
     OrecTransaction txn_begin() {
         return OrecTransaction(clk_, cfg_, stm_, dev_, stats_.get(),
                                &sets_, &recent_, stripes_, gate_,
-                               &token_held_);
+                               commit_flag_, &token_held_);
     }
 
     bool txn_commit(OrecTransaction& tx) {
         if (tx.commit()) {
-            stats_->commits.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->commits);
             if (tx.irrevocable_)
-                stats_->irrevocable_commits.fetch_add(
-                    1, std::memory_order_relaxed);
+                detail::bump(stats_->irrevocable_commits);
             if (token_held_) {
                 gate_->release();
                 token_held_ = false;
             }
             return true;
         }
-        stats_->aborts.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->aborts);
         return false;
     }
 
@@ -806,7 +803,8 @@ class OrecThreadContext {
                       detail::EpochStripes* stripes,
                       detail::IrrevGate* gate)
         : clk_(std::move(clk)), cfg_(cfg), stm_(stm), dev_(dev),
-          stats_(std::move(stats)), stripes_(stripes), gate_(gate) {}
+          stats_(std::move(stats)), stripes_(stripes), gate_(gate),
+          commit_flag_(gate->enroll()) {}
 
     Clock clk_;
     OrecConfig cfg_;
@@ -815,6 +813,8 @@ class OrecThreadContext {
     std::shared_ptr<detail::StatsBlock> stats_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    // This context's in-commit flag, owned by the gate.
+    detail::CommitFlag* commit_flag_;
     // True while this context holds the engine-global irrevocability
     // token; survives aborted attempts so a failed escalation retries
     // irrevocably instead of re-queuing for the token.
@@ -929,7 +929,7 @@ class OrecStm {
     // True while some transaction holds the irrevocability token; exposed
     // for tests and instrumentation.
     bool irrevocable_active() const {
-        return irrev_gate_.word.load(std::memory_order_acquire) & 1u;
+        return irrev_gate_.active();
     }
 
  private:
@@ -943,9 +943,9 @@ class OrecStm {
     // stripes its write set hashes into; filtered validation compares
     // only the stripes the read set touched.
     detail::EpochStripes epoch_stripes_;
-    // Irrevocability gate (token bit + in-flight update-commit count);
-    // own cache line, touched twice per update commit.
-    alignas(64) detail::IrrevGate irrev_gate_;
+    // Irrevocability gate (token + per-context in-commit flags); an
+    // update commit writes only its own flag, never the token line.
+    detail::IrrevGate irrev_gate_;
     mutable std::mutex mu_;
     std::vector<std::shared_ptr<detail::StatsBlock>> blocks_;
 };
@@ -1027,8 +1027,7 @@ inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
                     // Second distinct granule under one orec: table
                     // aliasing observed on the read path.
                     dup->aliased = 1;
-                    stats_->false_conflicts.fetch_add(
-                        1, std::memory_order_relaxed);
+                    detail::bump(stats_->false_conflicts);
                 }
                 return v;
             }
@@ -1092,7 +1091,7 @@ inline bool OrecTransaction::commit() {
         // Read-only fast path: the snapshot reads are consistent and the
         // transaction serializes at its snapshot -- no stamp drawn, no
         // lock taken, no epoch bump.
-        stats_->ro_commits.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->ro_commits);
         return true;
     }
 
@@ -1106,14 +1105,14 @@ inline bool OrecTransaction::commit() {
     }
 
     // Update commits run inside the irrevocability gate: held at the door
-    // while a token holder is active, counted in flight otherwise so an
+    // while a token holder is active, flagged in flight otherwise so an
     // escalating transaction can drain the pipeline. The token holder
     // itself skips the gate -- it IS the gate. The guard exits on every
     // path out, including exceptions.
     detail::GateGuard gate_guard;
     if (!irrevocable_) {
-        gate_->enter_commit();
-        gate_guard.gate = gate_;
+        gate_->enter_commit(*commit_flag_);
+        gate_guard.flag = commit_flag_;
     }
 
     // Lock phase. Granule-address order is deterministic across
@@ -1131,8 +1130,7 @@ inline bool OrecTransaction::commit() {
                 // distinct granules aliasing one orec.
                 rec.locked_word = ws[prev].locked_word;
                 rec.owner = 0;
-                stats_->false_conflicts.fetch_add(1,
-                                                  std::memory_order_relaxed);
+                detail::bump(stats_->false_conflicts);
                 continue;
             }
             for (;;) {
@@ -1235,11 +1233,10 @@ inline bool OrecTransaction::commit() {
         reads_valid = true;
     } else if (epoch_clean) {
         reads_valid = true;
-        stats_->validation_fast_hits.fetch_add(1, std::memory_order_relaxed);
-        stats_->stripe_fast_hits.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(stats_->validation_fast_hits);
     } else {
         if (cfg_.epoch_filter)
-            stats_->stripe_walks.fetch_add(1, std::memory_order_relaxed);
+            detail::bump(stats_->stripe_walks);
         reads_valid = sets_->reads.all_of(
             [&](const detail::OrecReadSet::Entry& e) {
                 const std::uint64_t cur =

@@ -15,6 +15,12 @@
 // optimistic concurrency, and exactly the varied-read-set transaction
 // class the datastructure bench wants.
 //
+// Capacity is fixed, so the table can fill: put() of a NEW key whose
+// probe path crosses only live nodes throws ds::TableFull. The failing
+// transaction allocates nothing and publishes nothing, so the map is
+// unchanged and the caller may erase keys and retry. Updates of existing
+// keys, get() and erase() never throw it.
+//
 // Thread handles (make_handle) must not outlive the container.
 
 #pragma once
@@ -22,11 +28,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <stdexcept>
 
 #include <chronostm/ds/policy.hpp>
 
 namespace chronostm {
 namespace ds {
+
+// A put() found no empty cell or tombstone for a new key: the fixed
+// capacity is undersized for the live key count.
+class TableFull : public std::length_error {
+ public:
+    TableFull() : std::length_error("chronostm: TxHashMap is full") {}
+};
 
 template <typename Policy>
 class TxHashMap {
@@ -92,7 +106,7 @@ class TxHashMap {
                 inserted = true;
                 return;
             }
-            throw std::bad_alloc();  // table full: capacity undersized
+            throw TableFull();
         });
         return inserted;
     }

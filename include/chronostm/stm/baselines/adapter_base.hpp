@@ -69,10 +69,10 @@ class StatsRegistry {
         return ctx.block_.get();
     }
     static void count_commit(Context& ctx) {
-        block(ctx)->commits.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(block(ctx)->commits);
     }
     static void count_abort(Context& ctx) {
-        block(ctx)->aborts.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(block(ctx)->aborts);
     }
 
  private:

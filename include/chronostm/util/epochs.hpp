@@ -30,9 +30,13 @@
 // pointee, so no separate pinning pass over rings is needed.
 //
 // Concurrency contract: pin/unpin/retire/collect on one Participant are
-// called by its owning thread only; registration and epoch advance take a
-// mutex but sit off the per-transaction fast path (pin and unpin are two
-// atomic ops). The domain must outlive every participant it issued.
+// called by its owning thread only; registration, epoch advance and
+// stats() take a mutex but sit off the per-transaction fast path (pin and
+// unpin are two atomic ops). Per op, a participant writes only its own
+// cache line: retire/free counts are per-participant single-writer
+// counters, and the global epoch and reclamation horizon live on lines of
+// their own that only an advance stores to. The domain must outlive every
+// participant it issued.
 
 #include <atomic>
 #include <cstddef>
@@ -65,7 +69,10 @@ struct DomainStats {
 
 class EpochDomain;
 
-class Participant {
+// Cache-line aligned: local_ (written by every pin/unpin, scanned by every
+// advance) starts its own line, and the rest of the object is written by
+// the owning thread only, so two participants never share a line.
+class alignas(64) Participant {
  public:
     // Enter a read-side critical section. The loop pairs the local-epoch
     // store with a recheck of the global epoch so a collector scanning the
@@ -100,9 +107,21 @@ class Participant {
     explicit Participant(EpochDomain* d, const std::atomic<std::uint64_t>* g)
         : domain_(d), global_(g) {}
 
+    // Single-writer counter bump (owner thread only): a load and a store,
+    // no RMW. Release pairs with stats()' acquire load of freed_ so a
+    // sampled freed count never exceeds the retired count read after it.
+    static void add(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
+        c.store(c.load(std::memory_order_relaxed) + n,
+                std::memory_order_release);
+    }
+
+    std::atomic<std::uint64_t> local_{kQuiescent};
+    // Lifetime retire/free counts, summed by EpochDomain::stats() and
+    // folded into the domain when the participant dies.
+    std::atomic<std::uint64_t> retired_{0};
+    std::atomic<std::uint64_t> freed_{0};
     EpochDomain* domain_;
     const std::atomic<std::uint64_t>* global_;
-    alignas(64) std::atomic<std::uint64_t> local_{kQuiescent};
     std::vector<Retired> limbo_;   // owner-thread only
     unsigned ops_since_collect_ = 0;
 };
@@ -119,22 +138,25 @@ class EpochDomain {
         // unreachable and freed unconditionally.
         std::lock_guard<std::mutex> lk(mu_);
         for (auto& r : orphans_) r.del(r.ptr, r.ctx);
-        freed_.fetch_add(orphans_.size(), std::memory_order_relaxed);
+        freed_ += orphans_.size();
         orphans_.clear();
     }
 
     // Threads register once and keep the handle for their lifetime. The
-    // custom deleter drains any un-reclaimed limbo into the domain's
-    // orphan list, so a thread exiting with deferred frees pending leaks
-    // nothing.
+    // custom deleter unregisters the participant and drains any
+    // un-reclaimed limbo into the domain's orphan list, so a thread
+    // exiting with deferred frees pending leaks nothing. The table holds
+    // raw pointers: nothing under mu_ ever owns (or drops) a handle, so
+    // the deleter -- which takes mu_ -- can run on any thread at any time.
     std::shared_ptr<Participant> register_participant() {
-        auto* raw = new Participant(this, &global_);
-        std::shared_ptr<Participant> p(raw, [this](Participant* q) {
-            this->adopt_orphans(q);
-            delete q;
-        });
+        std::shared_ptr<Participant> p(
+            new Participant(this, &global_),
+            [this](Participant* q) {
+                this->unregister(q);
+                delete q;
+            });
         std::lock_guard<std::mutex> lk(mu_);
-        parts_.push_back(p);
+        parts_.push_back(p.get());
         return p;
     }
 
@@ -157,11 +179,18 @@ class EpochDomain {
         return safe_.load(std::memory_order_acquire);
     }
 
+    // Retire/free totals: live participants' own counters plus everything
+    // folded in from dead ones and the orphan list.
     DomainStats stats() const {
+        std::lock_guard<std::mutex> lk(mu_);
         DomainStats s;
-        s.retired = retired_.load(std::memory_order_relaxed);
-        s.freed = freed_.load(std::memory_order_relaxed);
-        s.advances = advances_.load(std::memory_order_relaxed);
+        s.retired = retired_;
+        s.freed = freed_;
+        for (const Participant* p : parts_) {
+            s.freed += p->freed_.load(std::memory_order_acquire);
+            s.retired += p->retired_.load(std::memory_order_relaxed);
+        }
+        s.advances = advances_;
         s.limbo = s.retired - s.freed;
         return s;
     }
@@ -173,22 +202,16 @@ class EpochDomain {
         const std::uint64_t g = global_.load(std::memory_order_acquire);
         std::uint64_t min_pinned = ~std::uint64_t{0};
         bool all_current = true;
-        for (auto it = parts_.begin(); it != parts_.end();) {
-            auto p = it->lock();
-            if (!p) {
-                it = parts_.erase(it);
-                continue;
-            }
+        for (const Participant* p : parts_) {
             const std::uint64_t l = p->local_.load(std::memory_order_seq_cst);
             if (l != Participant::kQuiescent) {
                 if (l < min_pinned) min_pinned = l;
                 if (l != g) all_current = false;
             }
-            ++it;
         }
         if (all_current) {
             global_.store(g + 1, std::memory_order_release);
-            advances_.fetch_add(1, std::memory_order_relaxed);
+            ++advances_;
         }
         // Horizon: nobody pinned -> everything stamped before the (old)
         // global epoch is unreachable; otherwise the oldest pin bounds it.
@@ -200,7 +223,7 @@ class EpochDomain {
         for (std::size_t r = 0; r < orphans_.size(); ++r) {
             if (orphans_[r].epoch < horizon) {
                 orphans_[r].del(orphans_[r].ptr, orphans_[r].ctx);
-                freed_.fetch_add(1, std::memory_order_relaxed);
+                ++freed_;
             } else {
                 orphans_[w++] = orphans_[r];
             }
@@ -209,22 +232,36 @@ class EpochDomain {
         return horizon;
     }
 
-    void adopt_orphans(Participant* p) {
-        if (p->limbo_.empty()) return;
+    // Participant deleter: leave the scan table, fold the counters, and
+    // adopt the remaining limbo.
+    void unregister(Participant* p) {
         std::lock_guard<std::mutex> lk(mu_);
+        for (auto it = parts_.begin(); it != parts_.end(); ++it) {
+            if (*it == p) {
+                parts_.erase(it);
+                break;
+            }
+        }
+        retired_ += p->retired_.load(std::memory_order_relaxed);
+        freed_ += p->freed_.load(std::memory_order_relaxed);
         orphans_.insert(orphans_.end(), p->limbo_.begin(), p->limbo_.end());
         p->limbo_.clear();
     }
 
     // Epoch 0 is reserved as the quiescent marker, so the clock starts at 1.
-    std::atomic<std::uint64_t> global_{1};
-    std::atomic<std::uint64_t> safe_{0};
-    std::atomic<std::uint64_t> retired_{0};
-    std::atomic<std::uint64_t> freed_{0};
-    std::atomic<std::uint64_t> advances_{0};
-    std::mutex mu_;
-    std::vector<std::weak_ptr<Participant>> parts_;
+    // Loaded twice by every pin(), stored only by an advance: its own line.
+    alignas(64) std::atomic<std::uint64_t> global_{1};
+    // Loaded by every collect(), stored only by an advance: its own line.
+    alignas(64) std::atomic<std::uint64_t> safe_{0};
+    // Everything below is guarded by mu_. retired_/freed_ hold what dead
+    // participants counted plus the orphan frees; live participants keep
+    // their own counts.
+    alignas(64) mutable std::mutex mu_;
+    std::vector<Participant*> parts_;
     std::vector<Retired> orphans_;
+    std::uint64_t retired_ = 0;
+    std::uint64_t freed_ = 0;
+    std::uint64_t advances_ = 0;
 };
 
 inline void Participant::unpin() noexcept {
@@ -242,7 +279,7 @@ inline void Participant::unpin() noexcept {
 inline void Participant::retire(void* p, Deleter d, void* ctx) noexcept {
     limbo_.push_back(
         Retired{p, d, ctx, global_->load(std::memory_order_acquire)});
-    domain_->retired_.fetch_add(1, std::memory_order_relaxed);
+    add(retired_, 1);
 }
 
 inline void Participant::collect() noexcept {
@@ -252,11 +289,11 @@ inline void Participant::collect() noexcept {
     for (std::size_t r = 0; r < limbo_.size(); ++r) {
         if (limbo_[r].epoch < horizon) {
             limbo_[r].del(limbo_[r].ptr, limbo_[r].ctx);
-            domain_->freed_.fetch_add(1, std::memory_order_relaxed);
         } else {
             limbo_[w++] = limbo_[r];
         }
     }
+    if (limbo_.size() != w) add(freed_, limbo_.size() - w);
     limbo_.resize(w);
 }
 

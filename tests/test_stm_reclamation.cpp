@@ -14,25 +14,34 @@
 // first attempt on the same thread. A threaded skiplist churn then
 // checks the retire/free accounting end to end, and a failpoints-only
 // section parks a reader mid-read across the free with a one-shot stall.
+// Two more use the domain and the allocation oracle directly: a thread
+// dropping its last participant handle while another advances must not
+// deadlock, and a full hashmap must fail with ds::TableFull and leave no
+// allocation behind.
 //
 // CHRONOSTM_TIMEBASE sweeps extra time-base specs through the scenarios.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <stdlib.h>  // posix_memalign for the over-aligned oracle path
 
+#include <chronostm/ds/hashmap.hpp>
 #include <chronostm/ds/policy.hpp>
 #include <chronostm/ds/skiplist.hpp>
 #include <chronostm/stm/alloc.hpp>
 #include <chronostm/stm/facade.hpp>
 #include <chronostm/util/epochs.hpp>
+#include <chronostm/util/pause.hpp>
 #ifdef CHRONOSTM_FAILPOINTS
 #include <chronostm/util/failpoints.hpp>
 #endif
@@ -176,6 +185,63 @@ void check_epoch_domain() {
     d.try_advance();
     CHECK(orphan_freed.load());
     CHECK(d.stats().limbo == 0);
+}
+
+// ---- teardown race: last handle dropped while another thread advances --
+//
+// A participant's deleter takes the domain mutex to adopt its limbo. If
+// try_advance() or stats() ever held an owning reference to a participant
+// while holding that mutex, the owner dropping its last handle at the
+// wrong moment would leave the advancing thread to run the deleter itself
+// -- and lock the mutex it already holds. The churn thread below drops a
+// handle with limbo pending every round while the other thread loops on
+// try_advance()/stats(); a watchdog turns a hang into a failure.
+
+void free_raw(void* p, void*) noexcept { ::operator delete(p); }
+
+void check_teardown_race() {
+    constexpr int kRounds = 20000;
+    eb::EpochDomain d;
+    std::atomic<bool> stop{false};
+    std::atomic<bool> done{false};
+    std::thread advancer([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            d.try_advance();
+            (void)d.stats();
+        }
+    });
+    std::thread churn([&] {
+        for (int i = 0; i < kRounds; ++i) {
+            auto p = d.register_participant();
+            p->pin();
+            p->retire(::operator new(8), &free_raw, nullptr);
+            p->unpin();
+            // Hold the handle a varying while, so the drop below lands at
+            // every point of the advancer's scan over the rounds.
+            for (unsigned k = (i * 7919u) % 2048u; k != 0; --k) cpu_relax();
+        }  // each round's last handle dies with limbo non-empty
+        done.store(true, std::memory_order_release);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!done.load(std::memory_order_acquire)) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            std::fprintf(stderr,
+                         "CHECK failed at %s:%d: participant teardown "
+                         "racing try_advance() hung (self-deadlock)\n",
+                         __FILE__, __LINE__);
+            std::_Exit(1);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    stop.store(true);
+    churn.join();
+    advancer.join();
+    for (int i = 0; i < 4; ++i) d.try_advance();
+    const auto st = d.stats();
+    CHECK(st.retired == static_cast<std::uint64_t>(kRounds));
+    CHECK_MSG(st.limbo == 0, "limbo %llu after the teardown race",
+              static_cast<unsigned long long>(st.limbo));
 }
 
 // ---- HeapCtx attempt semantics ----------------------------------------
@@ -470,6 +536,51 @@ void check_net_alloc_oracle(const std::string& espec) {
               espec.c_str(), before, after);
 }
 
+// ---- full hashmap: typed error, nothing allocated ---------------------
+//
+// TxHashMap has a fixed capacity. A put() of a new key into a full table
+// throws ds::TableFull out of the transaction; the attempt must allocate
+// nothing that outlives it (measured with the oracle, after one warm-up
+// failure so lazily grown per-context pools are already in place) and
+// leave the map unchanged and usable.
+
+void check_full_hashmap(const std::string& espec) {
+    static_assert(std::is_base_of<std::length_error, ds::TableFull>::value,
+                  "TableFull must remain a length_error");
+    ds::TxHashMap<ds::EnginePolicy> map(ds::EnginePolicy(stm::make(espec)),
+                                        4);
+    auto h = map.make_handle();
+    for (std::uint64_t k = 0; k < 4; ++k) CHECK(map.put(h, k, k + 10));
+    auto put_fails_full = [&](std::uint64_t key) {
+        try {
+            map.put(h, key, 1);
+        } catch (const ds::TableFull&) {
+            return true;
+        }
+        return false;
+    };
+    CHECK(put_fails_full(100));  // warm-up
+    const long long before = g_live_allocs.load(std::memory_order_relaxed);
+    CHECK(put_fails_full(101));
+    const long long after = g_live_allocs.load(std::memory_order_relaxed);
+    CHECK_MSG(after == before,
+              "engine %s: a full-table put left %lld allocations behind",
+              espec.c_str(), after - before);
+
+    // Unchanged and usable: every key still maps to its value, updates of
+    // existing keys succeed, and an erase makes room for the new key.
+    for (std::uint64_t k = 0; k < 4; ++k) {
+        std::uint64_t v = 0;
+        CHECK(map.get(h, k, v) && v == k + 10);
+    }
+    CHECK(!map.put(h, 0, 7));
+    CHECK(map.erase(h, 1));
+    CHECK(map.put(h, 101, 5));
+    std::uint64_t v = 0;
+    CHECK(map.get(h, 101, v) && v == 5);
+    CHECK(map.unsafe_size() == 4);
+}
+
 // ---- failpoints: park a reader mid-read across the free ---------------
 
 #ifdef CHRONOSTM_FAILPOINTS
@@ -545,6 +656,7 @@ void check_failpoint_parked_reader() {
 
 int main() {
     check_epoch_domain();
+    check_teardown_race();
     check_heapctx_semantics();
 
     std::vector<std::string> tb_specs = {"shared"};
@@ -562,6 +674,9 @@ int main() {
 
     check_net_alloc_oracle<stm::LsaAdapter>("lsa");
     check_net_alloc_oracle<stm::OrecAdapter>("orec:bits=12");
+
+    check_full_hashmap("lsa");
+    check_full_hashmap("orec:bits=12");
 
 #ifdef CHRONOSTM_FAILPOINTS
     check_failpoint_parked_reader();
