@@ -85,7 +85,6 @@ TxStats stats_delta(const TxStats& after, const TxStats& before) {
     TxStats s(after.commits() - before.commits(),
               after.aborts() - before.aborts(),
               after.helped_commits - before.helped_commits,
-              after.helped_timestamps - before.helped_timestamps,
               after.false_conflicts - before.false_conflicts);
     s.extensions = after.extensions - before.extensions;
     s.extension_fast_hits =

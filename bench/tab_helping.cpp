@@ -58,7 +58,7 @@ Cell run_cell(const std::string& tb_spec, bool help, unsigned threads,
     c.p99_ns = res.p99_ns;
     c.p999_ns = res.p999_ns;
     c.stats = adapter.stm().collected_stats();
-    c.helped = c.stats.helped_commits + c.stats.helped_timestamps;
+    c.helped = c.stats.helped_commits;
     c.conserved = bank.unsafe_total() == bank.expected_total();
     return c;
 }

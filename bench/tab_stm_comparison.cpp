@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
     const auto sum_stats = [](const TxStats& x, const TxStats& y) {
         TxStats s(x.commits() + y.commits(), x.aborts() + y.aborts(),
                   x.helped_commits + y.helped_commits,
-                  x.helped_timestamps + y.helped_timestamps,
                   x.false_conflicts + y.false_conflicts);
         s.extensions = x.extensions + y.extensions;
         s.extension_fast_hits = x.extension_fast_hits + y.extension_fast_hits;

@@ -6,40 +6,36 @@
 // (the TL2 shape). Nothing has to be declared as a TVar, so raw-memory
 // data structures become transactional for free.
 //
-// What carries over from the TVar core (core/lsa_stm.hpp) unchanged:
-//  * stamps come from the runtime-pluggable tb::TimeBase facade, so one
-//    engine serves every registered base (shared/batched/sharded/adaptive/
-//    extsync) selected at runtime;
-//  * snapshot interval [lower, upper] with lazy extension: a read that
-//    finds a too-new version revalidates the read set against the current
-//    orec words and moves `upper` to the present (this is precisely what
-//    plain TL2 lacks -- TL2 aborts where LSA extends);
-//  * deviation-aware validity: version admission shrinks by the pairwise
-//    stamp uncertainty (2 * TimeBase::deviation()), trading freshness
-//    aborts for correctness under imprecise scalable time bases. The
-//    algebra only ever touches orec version words, never per-location
-//    state, which is why it ports verbatim. One refinement on top: a
-//    version stamped with a stamp THIS context drew itself (stamps are
-//    globally unique, so it is this thread's own earlier commit) is
-//    admitted with no shrink at all -- see detail::RecentStamps. Without
-//    it, a thread re-reading what its previous transaction wrote under a
-//    batched/sharded base burns draws until the counter outruns its own
-//    stamps.
+// The snapshot itself -- the [lower, upper] interval with lazy extension,
+// the striped commit-epoch filter, commit-time validation, the
+// irrevocability gate, the retry ladder and the statistics -- is the
+// shared snapshot core (core/snapshot_core.hpp), so everything the paper
+// says about time bases applies here unchanged: stamps come from the
+// runtime-pluggable tb::TimeBase facade, and version admission shrinks by
+// the pairwise stamp uncertainty (2 * TimeBase::deviation()). A read that
+// finds a too-new version extends the snapshot to the present, which is
+// precisely what plain TL2 lacks -- TL2 aborts where LSA extends.
 //
-// What changes relative to the TVar core:
+// What the orec engine adds on top of the core:
 //  * metadata is the table entry, shared by every 16-byte granule that
 //    hashes to it -- two independent addresses may collide ("false
 //    conflict"; counted in TxStats::false_conflicts, rate math in
 //    DESIGN.md). The table is per-OrecStm, so independent engines never
-//    alias each other;
+//    alias each other; the epoch stripes are cut from the same hash;
+//  * own-stamp admission: a version stamped with a stamp THIS context
+//    drew itself (stamps are globally unique, so it is this thread's own
+//    earlier commit) is admitted with no deviation shrink at all -- see
+//    detail::RecentStamps. Without it, a thread re-reading what its
+//    previous transaction wrote under a batched/sharded base burns draws
+//    until the counter outruns its own stamps;
 //  * single-version: no history ring to fall back on, so a reader that
-//    cannot extend aborts where the TVar core might serve an old version;
+//    cannot extend aborts where the TVar engine might serve an old version;
 //  * locks are TL2-style in-place bit sets (word | 1) that PRESERVE the
 //    version, not descriptor pointers -- so there is no commit helping and
-//    no contention-manager plumbing, just bounded spinning on foreign
-//    locks. Commit-time read validation tells "locked by me" from "locked
-//    by an enemy holding the same version" through the commit's own
-//    ownership index, never through the word alone.
+//    no contention-manager plumbing, just bounded spinning with stall
+//    detection on foreign locks. Commit-time read validation tells "locked
+//    by me" from "locked by an enemy holding the same version" through the
+//    commit's own ownership index, never through the word alone.
 //
 // Memory access protocol (TSan-clean by construction): all transactional
 // data moves through 8-byte-aligned granules accessed with the __atomic
@@ -54,21 +50,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
-#include <vector>
 
 #include <chronostm/core/epoch_stripes.hpp>
-#include <chronostm/core/lsa_stm.hpp>
+#include <chronostm/core/snapshot_core.hpp>
 #include <chronostm/stm/config.hpp>
 #include <chronostm/timebase/facade.hpp>
+#include <chronostm/util/failpoints.hpp>
 #include <chronostm/util/pause.hpp>
 
 namespace chronostm {
@@ -124,128 +117,21 @@ inline std::uint64_t orec_merge(std::uint64_t mem, std::uint64_t val,
     return (mem & ~lane) | (val & lane);
 }
 
-// The orec engine's read set: an open-addressing table keyed by orec
-// pointer (one entry per distinct orec, however many granules hash to it),
-// same machinery as the TVar core's detail::ReadSet -- staged insertion so
-// a miss-then-admit costs one probe walk, generation-tagged O(1) clear,
-// shrink hysteresis against one huge transaction taxing later small ones.
-// Each entry remembers the first granule admitted under its orec so
-// aliasing by a SECOND distinct granule is observable (false-conflict
-// counter); `word` is the unlocked lock word the snapshot admitted.
-class OrecReadSet {
- public:
-    struct Entry {
-        std::atomic<std::uint64_t>* orec;
-        std::uint64_t word;
-        const void* gran0;      // first granule admitted under this orec
-        std::uint32_t gen;      // live iff gen == OrecReadSet::gen_
-        std::uint32_t aliased;  // 1 once a second distinct granule hit
-    };
-
-    void clear() {
-        if (__builtin_expect(++gen_ == 0, 0)) hard_reset();
-        if (__builtin_expect(cap_ > 64 && size_ * 16 < cap_, 0)) {
-            if (++small_streak_ >= 128) shrink();
-        } else {
-            small_streak_ = 0;
-        }
-        size_ = 0;
-    }
-
-    std::uint32_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    // Probes for `orec`: its live entry, or nullptr with the landing slot
-    // staged for commit_stage (valid until the next probe or clear).
-    Entry* find_or_stage(std::atomic<std::uint64_t>* orec) {
-        if (__builtin_expect((size_ + 1) * 4 > cap_ * 3, 0)) grow();
-        std::size_t i = slot_of(orec);
-        for (;;) {
-            Entry& e = entries_[i];
-            if (e.gen != gen_) {
-                stage_ = i;
-                return nullptr;
-            }
-            if (e.orec == orec) return &e;
-            i = (i + 1) & mask_;
-        }
-    }
-
-    void commit_stage(std::atomic<std::uint64_t>* orec, std::uint64_t word,
-                      const void* gran0) {
-        Entry& e = entries_[stage_];
-        e.orec = orec;
-        e.word = word;
-        e.gran0 = gran0;
-        e.gen = gen_;
-        e.aliased = 0;
-        ++size_;
-    }
-
-    template <typename F>
-    bool all_of(F&& f) const {
-        for (std::size_t i = 0; i < cap_; ++i) {
-            const Entry& e = entries_[i];
-            if (e.gen == gen_ && !f(e)) return false;
-        }
-        return true;
-    }
-
- private:
-    std::size_t slot_of(const void* key) const {
-        // Fibonacci hashing; table entries are 8-byte aligned, so shift
-        // the alignment zeros out before mixing.
-        const auto h = static_cast<std::uint64_t>(
-                           reinterpret_cast<std::uintptr_t>(key) >> 3) *
-                       0x9E3779B97F4A7C15ull;
-        return static_cast<std::size_t>(h >> shift_) & mask_;
-    }
-
-    __attribute__((noinline)) void grow() {
-        auto old = std::move(entries_);
-        const std::size_t old_cap = cap_;
-        const std::uint32_t live = gen_;
-        cap_ = cap_ == 0 ? 64 : cap_ * 2;
-        entries_ = std::make_unique<Entry[]>(cap_);  // zeroed: gen 0 = dead
-        mask_ = cap_ - 1;
-        shift_ = 1;
-        while ((std::size_t{1} << (64 - shift_)) > cap_) ++shift_;
-        gen_ = 1;
-        for (std::size_t i = 0; i < old_cap; ++i) {
-            if (old[i].gen != live) continue;
-            std::size_t j = slot_of(old[i].orec);
-            while (entries_[j].gen == gen_) j = (j + 1) & mask_;
-            entries_[j] = old[i];
-            entries_[j].gen = gen_;
-        }
-    }
-
-    void hard_reset() {
-        for (std::size_t i = 0; i < cap_; ++i) entries_[i].gen = 0;
-        gen_ = 1;
-    }
-
-    __attribute__((noinline)) void shrink() {
-        std::size_t cap = 64;
-        while (cap < std::size_t{size_} * 8) cap *= 2;
-        cap_ = cap;
-        entries_ = std::make_unique<Entry[]>(cap_);
-        mask_ = cap_ - 1;
-        shift_ = 1;
-        while ((std::size_t{1} << (64 - shift_)) > cap_) ++shift_;
-        gen_ = 1;
-        small_streak_ = 0;
-    }
-
-    std::unique_ptr<Entry[]> entries_;
-    std::size_t cap_ = 0;
-    std::size_t mask_ = 0;
-    unsigned shift_ = 63;
-    std::size_t stage_ = 0;
-    std::uint32_t size_ = 0;
-    std::uint32_t gen_ = 1;
-    std::uint32_t small_streak_ = 0;
+// One read-set entry, keyed by orec pointer (one entry per distinct orec,
+// however many granules hash to it) in the core's PtrTable. Each entry
+// remembers the first granule admitted under its orec so aliasing by a
+// SECOND distinct granule is observable (false-conflict counter); `word`
+// is the unlocked lock word the snapshot admitted.
+struct OrecReadEntry {
+    std::atomic<std::uint64_t>* orec;
+    std::uint64_t word;
+    const void* gran0;      // first granule admitted under this orec
+    std::uint32_t aliased;  // 1 once a second distinct granule hit
+    std::uint32_t gen;
+    const void* key() const { return orec; }
 };
+// Table entries are 8-byte aligned: shift 3.
+using OrecReadSet = PtrTable<OrecReadEntry, 3>;
 
 // Stamps this context drew from the time base itself (commit stamps and
 // livelock-defense draws), most recent first on lookup. Time-base stamps
@@ -283,7 +169,7 @@ class RecentStamps {
 
 // Per-thread access-set storage for the orec engine, reused across
 // attempts and transactions (same allocation-free steady state as the
-// TVar core's detail::AccessSets, which this mirrors). Write records are
+// TVar engine's detail::AccessSets, which this mirrors). Write records are
 // held by value: they are fixed-size PODs, so no arena or type erasure is
 // needed.
 struct OrecAccessSets {
@@ -317,49 +203,14 @@ T tx_read(OrecTransaction& tx, const T* addr);
 template <typename T>
 void tx_write(OrecTransaction& tx, T* addr, const T& v);
 
-class OrecTransaction {
+class OrecTransaction
+    : public detail::SnapshotTx<OrecTransaction, OrecConfig,
+                                detail::OrecAccessSets> {
+    using Core = detail::SnapshotTx<OrecTransaction, OrecConfig,
+                                    detail::OrecAccessSets>;
+
  public:
-    using Clock = tb::ThreadClock;
-
-    OrecTransaction(const OrecTransaction&) = delete;
-    OrecTransaction& operator=(const OrecTransaction&) = delete;
     OrecTransaction(OrecTransaction&&) = default;
-
-    // Explicit early abort: unwinds out of the user lambda; run() retries.
-    // Note that abort() defeats the degradation ladder by design: an
-    // irrevocable attempt that the user functor aborts retries irrevocably.
-    [[noreturn]] void abort() { throw detail::AbortTx{}; }
-
-    // Escalate this attempt to irrevocable serial mode mid-flight: claim
-    // the engine-global token, drain in-flight update commits, then
-    // re-validate the snapshot once against the now-quiescent heap. On
-    // validation failure the attempt aborts (conflict class) but the token
-    // stays with the owning context, so the retry runs irrevocably from
-    // its first read. Idempotent; from here to commit nothing can abort
-    // this transaction.
-    void become_irrevocable() {
-        if (irrevocable_) return;
-        if (!*token_held_) {
-            gate_->acquire(token_held_);
-            *token_held_ = true;
-            detail::bump(stats_->escalations);
-        }
-        if (!walk_read_set()) throw detail::AbortTx{};
-        irrevocable_ = true;
-    }
-
-    bool irrevocable() const { return irrevocable_; }
-
-    std::uint64_t snapshot_lower() const { return lower_; }
-    std::uint64_t snapshot_upper() const { return upper_; }
-
-    // Distinct orecs read / distinct granules written.
-    std::size_t read_set_size() const { return sets_->reads.size(); }
-    std::size_t write_set_size() const { return sets_->writes.size(); }
-
-    // Instrumentation/bench hook: attempt a snapshot extension right now,
-    // exactly as a read that meets a too-new version would.
-    bool try_extend_now() { return try_extend(); }
 
     template <typename T>
     T read(const T* addr) {
@@ -395,30 +246,13 @@ class OrecTransaction {
     }
 
  private:
+    friend Core;
     friend class OrecThreadContext;
-    friend class OrecStm;
+    template <typename, typename, typename, typename>
+    friend class detail::SnapshotContext;
 
-    OrecTransaction(Clock& clk, const OrecConfig& cfg, OrecStm* stm,
-                    std::uint64_t dev, detail::StatsBlock* stats,
-                    detail::OrecAccessSets* sets,
-                    detail::RecentStamps* recent,
-                    detail::EpochStripes* stripes,
-                    detail::IrrevGate* gate, detail::CommitFlag* commit_flag,
-                    bool* token_held)
-        : clk_(clk), cfg_(cfg), stm_(stm), dev_(dev), stats_(stats),
-          sets_(sets), recent_(recent), stripes_(stripes), gate_(gate),
-          commit_flag_(commit_flag), token_held_(token_held),
-          irrevocable_(*token_held) {
-        sets_->reset();
-        cache_table();
-        CHRONOSTM_FP_SINK(&stats_->injected_faults);
-        // Per-stripe epoch snapshots are taken lazily at the stripe's
-        // first touch, always BEFORE the covered granule's orec-word load
-        // (touch_stripe in load_validated): a writer that publishes into
-        // the stripe after the snapshot shows up as a stripe mismatch
-        // (false negative, walk runs), never as a stale fast hit.
-        upper_ = clk_.get_time();
-    }
+    // Defined after OrecStm, whose orec table it caches.
+    explicit OrecTransaction(OrecThreadContext& ctx);
 
     // --- read path ------------------------------------------------------
 
@@ -442,12 +276,12 @@ class OrecTransaction {
     // buffered masks merge over a validated memory image, so the bytes the
     // transaction did NOT write still come from a consistent snapshot.
     std::uint64_t load_granule(const void* gran) {
-        const std::uint32_t wi = find_write(gran);
+        const std::uint32_t wi = find_write_pos(gran);
         if (wi != detail::PtrIndex::kNone) {
             const detail::OrecWriteRec& rec = sets_->writes[wi];
             if (rec.mask == 0xFFu) return rec.value;
             const std::uint64_t mem = load_validated(gran);
-            // find_write's staged probe may be stale after load_validated
+            // find_write_pos's staged probe may be stale after load_validated
             // touched no write-set state; rec index stays valid.
             return detail::orec_merge(mem, sets_->writes[wi].value,
                                       sets_->writes[wi].mask);
@@ -456,13 +290,9 @@ class OrecTransaction {
     }
 
     // Seqlock-consistent validated load of one granule, admitting its orec
-    // to the snapshot (the orec-table twin of the TVar core's read path).
+    // to the snapshot (the orec-table twin of the TVar engine's read path).
     std::uint64_t load_validated(const void* gran);
 
-    // The table pointer and mask are immutable for the STM's lifetime;
-    // caching them here turns every orec lookup into index math off two
-    // transaction-local words instead of a dependent chase through stm_.
-    void cache_table();
     std::atomic<std::uint64_t>* orec_of(const void* p) const;
 
     // --- write path -----------------------------------------------------
@@ -482,124 +312,20 @@ class OrecTransaction {
     void store_granule(void* gran, const unsigned char* src, std::size_t off,
                        std::size_t n);
 
-    // Inline scan while the write set is small, open-addressing index on
-    // the granule address past that -- same scheme and threshold as the
-    // TVar core. Returns an index into sets_->writes or PtrIndex::kNone
-    // (with the index's landing bucket staged for the insert that usually
-    // follows a miss).
-    std::uint32_t find_write(const void* gran) {
-        auto& ws = sets_->writes;
-        if (ws.size() <= detail::kInlineScan) {
-            for (std::uint32_t i = 0; i < ws.size(); ++i)
-                if (ws[i].gran == gran) return i;
-            return detail::PtrIndex::kNone;
-        }
-        return sets_->write_index.find_or_stage(gran);
+    // --- snapshot core hooks (core/snapshot_core.hpp) -------------------
+
+    // No version history: nothing caps an extension, and every snapshot
+    // is in the present.
+    static constexpr std::uint64_t extension_cap() {
+        return ~std::uint64_t{0};
     }
-
-    // --- snapshot maintenance ------------------------------------------
-
-    // Record granule `p`'s stripe in the attempt's signature, snapshotting
-    // the stripe epoch at first touch. Must run BEFORE the orec-word load
-    // that admits the read: writers bump their stripes before unlocking,
-    // so any commit that could invalidate the admitted read lands as a
-    // snapshot mismatch (spurious walk at worst, never a stale fast hit).
-    void touch_stripe(const void* p) {
-        auto& sc = sets_->stripes;
-        const unsigned s = stripes_->stripe_of(p);
-        const std::uint64_t bit = std::uint64_t{1} << s;
-        if (!(sc.sig & bit)) {
-            sc.snap[s] = (*stripes_)[s].load(std::memory_order_acquire);
-            sc.sig |= bit;
-        }
-    }
-
-    // Compare every touched stripe against its snapshot, recording the
-    // fresh values in `fresh` (indexed by stripe id). Snapshots are NOT
-    // updated here: re-anchoring is only sound after a SUCCESSFUL walk
-    // (reanchor_stripes), because a failed walk proves a conflicting
-    // writer hit the read set and absorbing its bump would let a later
-    // extension fast-hit past the very commit the walk just caught (the
-    // TVar core's old-version fallback makes that reachable; here every
-    // failed extension aborts, but the invariant is kept identical).
-    bool stripes_clean(std::uint64_t* fresh) {
-        auto& sc = sets_->stripes;
-        bool clean = true;
-        std::uint64_t sig = sc.sig;
-        while (sig != 0) {
-            const unsigned s = static_cast<unsigned>(__builtin_ctzll(sig));
-            sig &= sig - 1;
-            const std::uint64_t e =
-                (*stripes_)[s].load(std::memory_order_acquire);
-            fresh[s] = e;
-            if (e != sc.snap[s]) clean = false;
-        }
-        return clean;
-    }
-
-    // Move the stripe snapshots to the pre-walk values captured by
-    // stripes_clean(); call only after a successful walk (a bump <=
-    // fresh[s] whose publish the walk missed keeps its orec locked, so
-    // the walk would have failed on the locked word).
-    void reanchor_stripes(const std::uint64_t* fresh) {
-        auto& sc = sets_->stripes;
-        std::uint64_t sig = sc.sig;
-        while (sig != 0) {
-            const unsigned s = static_cast<unsigned>(__builtin_ctzll(sig));
-            sig &= sig - 1;
-            sc.snap[s] = fresh[s];
-        }
-    }
-
-    // Move `upper` to the present if every orec read so far is unchanged
-    // (a changed or locked word means extension would break consistency).
-    // The striped commit-epoch filter short-circuits the O(R) walk exactly
-    // as in the TVar core's try_extend -- `nu` drawn before the stripe
-    // loads, and on the walk path a re-anchor to the pre-walk stripe
-    // epochs. See DESIGN.md "Striped epoch soundness".
-    // Failure reason lands in extend_conflict_: false = time has not
-    // advanced past upper_ (freshness), true = the read-set walk found a
-    // changed or locked orec (conflict -- backoff resolves it; see the
-    // abort taxonomy in DESIGN.md).
-    bool try_extend() {
-        extend_conflict_ = false;
-        const std::uint64_t nu = clk_.get_time();
-        if (nu <= upper_) return false;
-        if (cfg_.epoch_filter) {
-            std::uint64_t fresh[detail::EpochStripes::kMaxStripes];
-            if (stripes_clean(fresh)) {
-                upper_ = nu;
-                detail::bump(stats_->extensions);
-                detail::bump(stats_->extension_fast_hits);
-                return true;
-            }
-            detail::bump(stats_->stripe_walks);
-            if (!walk_read_set()) {
-                extend_conflict_ = true;
-                return false;
-            }
-            upper_ = nu;
-            reanchor_stripes(fresh);
-            detail::bump(stats_->extensions);
-            return true;
-        }
-        if (!walk_read_set()) {
-            extend_conflict_ = true;
-            return false;
-        }
-        upper_ = nu;
-        detail::bump(stats_->extensions);
-        return true;
-    }
-
-    // Cold continuation of load_validated's admission miss: returns only
-    // when extension succeeded (the caller retries the read), otherwise
-    // aborts, classed by why the extension failed (see try_extend).
-    // Outlined so the per-read hot path's code size and alignment do not
-    // depend on the extension/abort machinery.
-    __attribute__((noinline)) void extend_or_abort() {
-        if (cfg_.read_extension && try_extend()) return;
-        throw detail::AbortTx{!extend_conflict_};
+    static constexpr bool reads_in_present() { return true; }
+    // Recorded as an own stamp whether or not the commit that drew it
+    // succeeds: uniqueness means no foreign version can ever carry it, so
+    // recording a stamp of a failed commit is inert.
+    void note_own_stamp(std::uint64_t ts) { recent_->push(ts); }
+    static void* write_key(const detail::OrecWriteRec& rec) {
+        return rec.gran;
     }
 
     // Full O(R) read-set validation against the current orec words.
@@ -654,211 +380,56 @@ class OrecTransaction {
     bool commit();
     void rollback();
 
-    Clock& clk_;
-    const OrecConfig& cfg_;
-    OrecStm* stm_;
-    std::uint64_t dev_;
-    detail::StatsBlock* stats_;
-    detail::OrecAccessSets* sets_;
     detail::RecentStamps* recent_;
-    detail::EpochStripes* stripes_;
-    detail::IrrevGate* gate_;
-    detail::CommitFlag* commit_flag_;
-    // Owning context's token flag: true while the context holds the
-    // engine-global irrevocability token (it survives aborted attempts,
-    // so the retry of a failed escalation reruns irrevocably).
-    bool* token_held_;
-    bool irrevocable_ = false;
-    // Cached from stm_ at begin (immutable for the STM's lifetime).
+    // The table pointer and mask are immutable for the STM's lifetime;
+    // caching them here turns every orec lookup into index math off two
+    // transaction-local words instead of a dependent chase through the
+    // engine.
     std::atomic<std::uint64_t>* tbl_ = nullptr;
     std::size_t tmask_ = 0;
-    std::uint64_t lower_ = 0;
-    std::uint64_t upper_ = 0;
-    bool writes_sorted_ = false;
-    // Set by commit() when it failed only because the drawn stamp lagged
-    // the snapshot (lower_ > commit_ts); run() treats that retry as a
-    // freshness abort and draws the time base forward.
-    bool commit_stamp_stale_ = false;
-    // Why the last try_extend() returned false: true when the read-set
-    // walk found a changed word (conflict), false when time had not
-    // advanced (freshness). Reset at every try_extend() entry.
-    bool extend_conflict_ = false;
 };
 
-// Per-thread handle: thread clock, stats block, pooled access sets. One
-// context per thread, one live transaction per context.
-class OrecThreadContext {
+// Per-thread handle (run(), txn_commit(), stats() come from the snapshot
+// core) plus this context's own-stamp ring.
+class OrecThreadContext
+    : public detail::SnapshotContext<OrecThreadContext, OrecTransaction,
+                                     OrecConfig, detail::OrecAccessSets> {
+    using Core = detail::SnapshotContext<OrecThreadContext, OrecTransaction,
+                                         OrecConfig, detail::OrecAccessSets>;
+
  public:
-    using Clock = tb::ThreadClock;
+    static constexpr const char* kEngineName = "orec";
 
-    // Runs `f` as a transaction until it commits, with bounded retry and
-    // exponential backoff; passes f's return value through.
-    template <typename F>
-    auto run(F&& f) {
-        using R = std::invoke_result_t<F&, OrecTransaction&>;
-        // Abnormal-exit insurance: an exception escaping the user functor
-        // (or the RetryExhausted below) while escalated must release the
-        // token; the normal commit path releases it in txn_commit first.
-        detail::TokenGuard token_guard{gate_, &token_held_};
-        std::uint64_t conflict_aborts = 0, freshness_aborts = 0;
-        for (unsigned attempt = 0;; ++attempt) {
-            bool freshness = false;
-            maybe_escalate(attempt);
-            try {
-                OrecTransaction tx = txn_begin();
-                if constexpr (std::is_void_v<R>) {
-                    f(tx);
-                    if (txn_commit(tx)) return;
-                } else {
-                    R r = f(tx);
-                    if (txn_commit(tx)) return r;
-                }
-                freshness = tx.commit_stamp_stale_;
-            } catch (const detail::AbortTx& abort) {
-                detail::bump(stats_->aborts);
-                freshness = abort.freshness;
-            }
-            freshness ? ++freshness_aborts : ++conflict_aborts;
-            if (attempt + 1 >= cfg_.max_retries)
-                throw RetryExhausted("orec", stats(), conflict_aborts,
-                                     freshness_aborts);
-            abort_pause(attempt, freshness);
-        }
-    }
-
-    // Degradation ladder, final rung (see the TVar core's twin): claim the
-    // engine-global token so the next attempt runs irrevocably.
-    void maybe_escalate(unsigned attempt) {
-        if (token_held_ || cfg_.irrevocable_threshold == 0 ||
-            attempt < cfg_.irrevocable_threshold)
-            return;
-        gate_->acquire(&token_held_);
-        token_held_ = true;
-        detail::bump(stats_->escalations);
-    }
-
-    // Post-abort pause, outlined to keep run()'s no-abort hot path small
-    // (see the TVar core's twin). Same livelock defense as there: a
-    // counter whose time only moves when stamps are drawn
-    // (batched/sharded) must see a draw during a FRESHNESS abort storm,
-    // or snapshots never reach the present and those aborts repeat
-    // forever. Conflict aborts resolve through backoff alone and must
-    // not drain the batched/sharded stamp blocks. Freshness aborts in
-    // turn skip the backoff: nothing is contended -- the snapshot is
-    // merely stale -- so the retry goes immediately with the drawn stamp
-    // keeping the counter moving.
-    __attribute__((noinline)) void abort_pause(unsigned attempt,
-                                               bool freshness) {
-        if (freshness) {
-            if (attempt >= 1) recent_.push(clk_.get_new_ts());
-            return;
-        }
-        const auto b0 = std::chrono::steady_clock::now();
-        chronostm::backoff(
-            attempt, reinterpret_cast<std::uintptr_t>(stats_.get()));
-        detail::bump(
-            stats_->backoff_ns,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - b0)
-                    .count()));
-    }
-
-    OrecTransaction txn_begin() {
-        return OrecTransaction(clk_, cfg_, stm_, dev_, stats_.get(),
-                               &sets_, &recent_, stripes_, gate_,
-                               commit_flag_, &token_held_);
-    }
-
-    bool txn_commit(OrecTransaction& tx) {
-        if (tx.commit()) {
-            detail::bump(stats_->commits);
-            if (tx.irrevocable_)
-                detail::bump(stats_->irrevocable_commits);
-            if (token_held_) {
-                gate_->release();
-                token_held_ = false;
-            }
-            return true;
-        }
-        detail::bump(stats_->aborts);
-        return false;
-    }
-
-    TxStats stats() const {
-        TxStats s(
-            stats_->commits.load(std::memory_order_relaxed),
-            stats_->aborts.load(std::memory_order_relaxed), 0, 0,
-            stats_->false_conflicts.load(std::memory_order_relaxed));
-        detail::fill_fast_path_stats(s, *stats_);
-        return s;
-    }
+    OrecTransaction txn_begin() { return OrecTransaction(*this); }
 
  private:
+    friend Core;
+    friend class OrecTransaction;
     friend class OrecStm;
 
-    OrecThreadContext(Clock clk, const OrecConfig& cfg, OrecStm* stm,
-                      std::uint64_t dev,
-                      std::shared_ptr<detail::StatsBlock> stats,
-                      detail::EpochStripes* stripes,
-                      detail::IrrevGate* gate)
-        : clk_(std::move(clk)), cfg_(cfg), stm_(stm), dev_(dev),
-          stats_(std::move(stats)), stripes_(stripes), gate_(gate),
-          commit_flag_(gate->enroll()) {}
+    // The orec engine has no conflict arbitration to exempt a token
+    // holder from, so it needs no gate identity.
+    explicit OrecThreadContext(OrecStm& stm);
 
-    Clock clk_;
-    OrecConfig cfg_;
+    // A stamp drawn by a freshness abort is this thread's own, too.
+    void note_own_stamp(std::uint64_t ts) { recent_.push(ts); }
+
     OrecStm* stm_;
-    std::uint64_t dev_;
-    std::shared_ptr<detail::StatsBlock> stats_;
-    detail::EpochStripes* stripes_;
-    detail::IrrevGate* gate_;
-    // This context's in-commit flag, owned by the gate.
-    detail::CommitFlag* commit_flag_;
-    // True while this context holds the engine-global irrevocability
-    // token; survives aborted attempts so a failed escalation retries
-    // irrevocably instead of re-queuing for the token.
-    bool token_held_ = false;
-    detail::OrecAccessSets sets_;
     detail::RecentStamps recent_;
 };
 
-class OrecStm {
+class OrecStm : public detail::SnapshotEngine<OrecConfig> {
  public:
     static constexpr unsigned kOrecShift = 4;  // 16-byte orec granules
 
     explicit OrecStm(tb::TimeBase tbase, OrecConfig cfg = OrecConfig{})
-        : tbase_(std::move(tbase)), cfg_(cfg) {
-        if (cfg_.table_bits < 2) cfg_.table_bits = 2;
-        if (cfg_.table_bits > 26) cfg_.table_bits = 26;
+        : SnapshotEngine(std::move(tbase), cfg, table_stripes(cfg)) {
+        cfg_.table_bits = clamp_table_bits(cfg_.table_bits);
         const std::size_t n = std::size_t{1} << cfg_.table_bits;
         mask_ = n - 1;
         // Value-initialized: every orec starts unlocked at version 0.
         table_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-        // Epoch stripes use the SAME shift+mask granule hash family as
-        // the orec table, with the stripe index being the TOP bits of the
-        // orec index: shift = kOrecShift + table_bits - log2(stripes), so
-        // one stripe covers a contiguous orec-table range and granules
-        // aliasing to one orec always share a stripe (the read path
-        // relies on that to skip re-touching on dedup hits). Stripe count
-        // is capped at the table size so the shift never drops below
-        // kOrecShift.
-        unsigned want = cfg_.filter_stripes;
-        const unsigned cap =
-            cfg_.table_bits < 6
-                ? (1u << cfg_.table_bits)
-                : detail::EpochStripes::kMaxStripes;
-        unsigned count = 1;
-        while (count < want && count < cap) count <<= 1;
-        unsigned lg = 0;
-        while ((1u << lg) < count) ++lg;
-        epoch_stripes_ = detail::EpochStripes(
-            count, kOrecShift + cfg_.table_bits - lg);
-        cfg_.filter_stripes = epoch_stripes_.count();
     }
-
-    OrecStm(const OrecStm&) = delete;
-    OrecStm& operator=(const OrecStm&) = delete;
 
     // The shift+mask metadata lookup the engine exists for. Consecutive
     // 16-byte data granules map to consecutive table entries, so the four
@@ -869,91 +440,47 @@ class OrecStm {
                        mask_];
     }
 
-    OrecThreadContext make_context() {
-        auto block = std::make_shared<detail::StatsBlock>();
-        {
-            std::lock_guard<std::mutex> g(mu_);
-            blocks_.push_back(block);
-        }
-        // Pairwise stamp uncertainty: both the version's stamp and the
-        // snapshot's stamp may deviate by the published bound.
-        return OrecThreadContext(tbase_.make_thread_clock(), cfg_, this,
-                                 2 * tbase_.deviation(), std::move(block),
-                                 &epoch_stripes_, &irrev_gate_);
-    }
+    OrecThreadContext make_context() { return OrecThreadContext(*this); }
 
-    TxStats collected_stats() const {
-        std::uint64_t c = 0, a = 0, fc = 0;
-        std::lock_guard<std::mutex> g(mu_);
-        TxStats partial;
-        for (const auto& b : blocks_) {
-            c += b->commits.load(std::memory_order_relaxed);
-            a += b->aborts.load(std::memory_order_relaxed);
-            fc += b->false_conflicts.load(std::memory_order_relaxed);
-            detail::fill_fast_path_stats(partial, *b);
-        }
-        TxStats s(c, a, 0, 0, fc);
-        s.extensions = partial.extensions;
-        s.extension_fast_hits = partial.extension_fast_hits;
-        s.validation_fast_hits = partial.validation_fast_hits;
-        s.stripe_fast_hits = partial.stripe_fast_hits;
-        s.stripe_walks = partial.stripe_walks;
-        s.ro_commits = partial.ro_commits;
-        s.backoff_us = partial.backoff_us;
-        s.irrevocable_commits = partial.irrevocable_commits;
-        s.escalations = partial.escalations;
-        s.stall_waits = partial.stall_waits;
-        s.stalled_aborts = partial.stalled_aborts;
-        s.injected_faults = partial.injected_faults;
-        return s;
-    }
-
-    // Total epoch bumps across all stripes: with filter_stripes=1, one
-    // bump per writer commit attempt that reached the stamp draw (the
-    // PR 7 counter); with more stripes, one bump per distinct stripe each
-    // such attempt's write set covered. Exposed for tests and
-    // instrumentation.
-    std::uint64_t commit_epoch() const { return epoch_stripes_.sum(); }
-
-    // Stripe geometry, exposed so tests and benches can place granules
-    // in (or out of) a given stripe deliberately.
-    unsigned filter_stripe_of(const void* p) const {
-        return epoch_stripes_.stripe_of(p);
-    }
-    unsigned filter_stripes() const { return epoch_stripes_.count(); }
-
-    const OrecConfig& config() const { return cfg_; }
     std::size_t table_size() const { return mask_ + 1; }
-    tb::TimeBase& time_base() { return tbase_; }
-
-    // True while some transaction holds the irrevocability token; exposed
-    // for tests and instrumentation.
-    bool irrevocable_active() const {
-        return irrev_gate_.active();
-    }
 
  private:
     friend class OrecTransaction;
 
-    tb::TimeBase tbase_;
-    OrecConfig cfg_;
+    static unsigned clamp_table_bits(unsigned bits) {
+        return std::min(std::max(bits, 2u), 26u);
+    }
+
+    // Epoch stripes use the SAME shift+mask granule hash family as the
+    // orec table, with the stripe index being the TOP bits of the orec
+    // index: shift = kOrecShift + table_bits - log2(stripes), so one
+    // stripe covers a contiguous orec-table range and granules aliasing to
+    // one orec always share a stripe (the read path relies on that to skip
+    // re-touching on dedup hits). Stripe count is capped at the table size
+    // so the shift never drops below kOrecShift.
+    static detail::EpochStripes table_stripes(const OrecConfig& cfg) {
+        const unsigned bits = clamp_table_bits(cfg.table_bits);
+        const unsigned cap =
+            bits < 6 ? (1u << bits) : detail::EpochStripes::kMaxStripes;
+        unsigned count = 1;
+        while (count < cfg.filter_stripes && count < cap) count <<= 1;
+        unsigned lg = 0;
+        while ((1u << lg) < count) ++lg;
+        return detail::EpochStripes(count, kOrecShift + bits - lg);
+    }
+
     std::size_t mask_ = 0;
     std::unique_ptr<std::atomic<std::uint64_t>[]> table_;
-    // Cache-line-padded epoch stripes: a writer commit bumps only the
-    // stripes its write set hashes into; filtered validation compares
-    // only the stripes the read set touched.
-    detail::EpochStripes epoch_stripes_;
-    // Irrevocability gate (token + per-context in-commit flags); an
-    // update commit writes only its own flag, never the token line.
-    detail::IrrevGate irrev_gate_;
-    mutable std::mutex mu_;
-    std::vector<std::shared_ptr<detail::StatsBlock>> blocks_;
 };
 
-inline void OrecTransaction::cache_table() {
-    tbl_ = stm_->table_.get();
-    tmask_ = stm_->mask_;
-}
+inline OrecThreadContext::OrecThreadContext(OrecStm& stm)
+    : Core(stm, nullptr), stm_(&stm) {}
+
+inline OrecTransaction::OrecTransaction(OrecThreadContext& ctx)
+    : Core(ctx),
+      recent_(&ctx.recent_),
+      tbl_(ctx.stm_->table_.get()),
+      tmask_(ctx.stm_->mask_) {}
 
 inline std::atomic<std::uint64_t>* OrecTransaction::orec_of(
     const void* p) const {
@@ -1002,7 +529,7 @@ inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
         }
         const std::uint64_t wv = w1 >> 1;
         // Validity of the current version starts at wv, shrunk by the
-        // pairwise stamp uncertainty dev_ -- identical to the TVar core.
+        // pairwise stamp uncertainty dev_ -- identical to the TVar engine.
         // A stamp this context itself drew before the transaction began
         // carries no uncertainty at all: it is this thread's own earlier
         // commit (stamps are unique), already current when the snapshot
@@ -1021,7 +548,7 @@ inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
                 continue;
             if (__builtin_expect(dup != nullptr, 0)) {
                 // A word that changed since admission means snapshot
-                // damage; refuse (same reasoning as the TVar core).
+                // damage; refuse (same reasoning as the TVar engine).
                 if (dup->word != w1) throw detail::AbortTx{};
                 if (dup->gran0 != gran && !dup->aliased) {
                     // Second distinct granule under one orec: table
@@ -1034,7 +561,7 @@ inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
             // Own-stamp admissions contribute no lower-bound constraint:
             // the version's real validity began before this snapshot.
             if (fresh) lower_ = std::max(lower_, wv + dev_);
-            sets_->reads.commit_stage(o, w1, gran);
+            sets_->reads.commit_stage(o, w1, gran, std::uint32_t{0});
             return v;
         }
         // Too new for the snapshot: extend to the present (revalidating
@@ -1054,7 +581,7 @@ inline void OrecTransaction::store_granule(void* gran,
                                            std::size_t off, std::size_t n) {
     const std::uint32_t m =
         n == 8 ? 0xFFu : ((1u << n) - 1u) << off;
-    const std::uint32_t wi = find_write(gran);
+    const std::uint32_t wi = find_write_pos(gran);
     if (wi != detail::PtrIndex::kNone) {
         // Write-after-write: merge into the buffered image in place.
         detail::OrecWriteRec& rec = sets_->writes[wi];
@@ -1068,17 +595,7 @@ inline void OrecTransaction::store_granule(void* gran,
     rec.orec = orec_of(gran);
     std::memcpy(reinterpret_cast<unsigned char*>(&rec.value) + off, src, n);
     rec.mask = m;
-    auto& ws = sets_->writes;
-    ws.push_back(rec);
-    if (ws.size() == detail::kInlineScan + 1) {
-        // Crossed the inline threshold: index everything accumulated.
-        for (std::uint32_t i = 0; i < ws.size(); ++i)
-            sets_->write_index.insert(ws[i].gran, i);
-    } else if (ws.size() > detail::kInlineScan + 1) {
-        // find_write just missed on this key: its staged bucket is ours.
-        sets_->write_index.commit_stage(gran, ws.size() - 1);
-    }
-    writes_sorted_ = false;
+    append_write(rec);
 }
 
 // Commit: lock the write set's orecs in granule-address order (in-place
@@ -1086,34 +603,11 @@ inline void OrecTransaction::store_granule(void* gran,
 // validate the read set exactly (words, not clocks), then publish data
 // and release every orec with the new version.
 inline bool OrecTransaction::commit() {
+    if (commit_read_only()) return true;
     auto& ws = sets_->writes;
-    if (ws.empty()) {
-        // Read-only fast path: the snapshot reads are consistent and the
-        // transaction serializes at its snapshot -- no stamp drawn, no
-        // lock taken, no epoch bump.
-        detail::bump(stats_->ro_commits);
-        return true;
-    }
-
-    if (!writes_sorted_) {
-        std::sort(ws.begin(), ws.end(),
-                  [](const detail::OrecWriteRec& a,
-                     const detail::OrecWriteRec& b) {
-                      return a.gran < b.gran;
-                  });
-        writes_sorted_ = true;
-    }
-
-    // Update commits run inside the irrevocability gate: held at the door
-    // while a token holder is active, flagged in flight otherwise so an
-    // escalating transaction can drain the pipeline. The token holder
-    // itself skips the gate -- it IS the gate. The guard exits on every
-    // path out, including exceptions.
+    sort_writes();
     detail::GateGuard gate_guard;
-    if (!irrevocable_) {
-        gate_->enter_commit(*commit_flag_);
-        gate_guard.flag = commit_flag_;
-    }
+    enter_gate(gate_guard);
 
     // Lock phase. Granule-address order is deterministic across
     // transactions; two granules of one transaction may still share an
@@ -1158,86 +652,9 @@ inline bool OrecTransaction::commit() {
     // last orec lock, before anything is published.
     (void)CHRONOSTM_FAILPOINT(orec_commit_post_lock);
 
-    // Bump the epoch stripes this write set covers (one bump per DISTINCT
-    // stripe) while every orec lock is held and BEFORE the stamp draw: a
-    // reader whose stripe check misses a bump drew its extension time
-    // before our stamp existed, so the deviation-aware admission rule
-    // keeps these versions out; a reader that validates while we still
-    // hold a conflicting lock fails on the locked word. A spurious bump
-    // from an attempt that aborts below only costs other readers a walk.
-    // The fetch_add return doubles as this commit's own pre-check for
-    // stripes its read set shares with its write set.
-    bool epoch_clean = false;
-    std::uint64_t wsig = 0;  // stripes this commit bumped
-    if (cfg_.epoch_filter) {
-        epoch_clean = true;
-        const auto& sc = sets_->stripes;
-        for (const auto& rec : ws) {
-            const unsigned s = stripes_->stripe_of(rec.gran);
-            const std::uint64_t bit = std::uint64_t{1} << s;
-            if (wsig & bit) continue;
-            wsig |= bit;
-            const std::uint64_t prev =
-                (*stripes_)[s].fetch_add(1, std::memory_order_acq_rel);
-            if ((sc.sig & bit) && prev != sc.snap[s]) epoch_clean = false;
-        }
-    }
-
-    // Chaos harness: stall in the window the epoch filter's post-draw
-    // re-check exists to close.
-    (void)CHRONOSTM_FAILPOINT(orec_commit_pre_stamp);
-
-    // Locks held: draw the commit timestamp. Drawn after the LAST lock --
-    // a pre-lock stamp would let a fresh reader accept these writes inside
-    // a snapshot that still contains pre-lock state. Recorded as an own
-    // stamp either way: uniqueness means no foreign version can ever
-    // carry it, so recording a stamp of a failed commit is inert.
-    std::uint64_t commit_ts = clk_.get_new_ts();
-    recent_->push(commit_ts);
-    // Re-check every READ stripe AFTER drawing commit_ts: the fetch_adds
-    // prove the read set clean only up to the bumps, but the commit
-    // serializes at commit_ts, drawn later. A writer bumping in between
-    // may draw a SMALLER stamp and publish into our read set below
-    // commit_ts; each read stripe's post-draw load must still show only
-    // our own bump (if any). A writer it misses drew after us (its
-    // counter RMW following ours on the shared stripe orders its bump
-    // before this load) -- the same residual class a post-draw walk
-    // admits. See DESIGN.md "Striped epoch soundness".
-    if (epoch_clean) {
-        const auto& sc = sets_->stripes;
-        std::uint64_t sig = sc.sig;
-        while (sig != 0) {
-            const unsigned s = static_cast<unsigned>(__builtin_ctzll(sig));
-            sig &= sig - 1;
-            const std::uint64_t expect =
-                sc.snap[s] + ((wsig >> s) & 1u);
-            if ((*stripes_)[s].load(std::memory_order_acquire) != expect) {
-                epoch_clean = false;
-                break;
-            }
-        }
-    }
-
-    // Commit-time validation: every read stripe unchanged up to our own
-    // bump (re-confirmed after the stamp draw) means no other writer
-    // committed into any stripe the read set covers since this
-    // transaction last validated, so no read-set word can have changed
-    // (own locks included: we could only have locked an orec whose word
-    // was still the admitted one).
-    bool reads_valid;
-    if (irrevocable_) {
-        // Token held since before this attempt's first read (or since a
-        // successful become_irrevocable walk): the commit pipeline has
-        // been quiescent throughout, so no read-set word can have changed
-        // -- validation is vacuous.
-        reads_valid = true;
-    } else if (epoch_clean) {
-        reads_valid = true;
-        detail::bump(stats_->validation_fast_hits);
-    } else {
-        if (cfg_.epoch_filter)
-            detail::bump(stats_->stripe_walks);
-        reads_valid = sets_->reads.all_of(
+    std::uint64_t commit_ts;
+    if (!stamp_and_validate(
+            commit_ts,
             [&](const detail::OrecReadSet::Entry& e) {
                 const std::uint64_t cur =
                     e.orec->load(std::memory_order_acquire);
@@ -1253,29 +670,10 @@ inline bool OrecTransaction::commit() {
                         return true;
                 }
                 return false;
-            });
-    }
-    if (!reads_valid) {
+            },
+            [] { (void)CHRONOSTM_FAILPOINT(orec_commit_pre_stamp); })) {
         rollback();
         return false;
-    }
-    if (lower_ > commit_ts) {
-        if (irrevocable_) {
-            // The token holder cannot abort on a freshness problem: pull
-            // the time base forward by drawing (and discarding) stamps
-            // until the commit stamp clears the snapshot's lower bound.
-            // Each draw advances the counter, so this terminates.
-            do {
-                commit_ts = clk_.get_new_ts();
-            } while (lower_ > commit_ts);
-            recent_->push(commit_ts);
-        } else {
-            // A stamp that lags the snapshot is a time-base freshness
-            // problem (batched/sharded blocks), not a data conflict.
-            commit_stamp_stale_ = true;
-            rollback();
-            return false;
-        }
     }
 
     // One stamp for the whole write set, bumped above every locked

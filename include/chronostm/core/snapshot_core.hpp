@@ -1,0 +1,1231 @@
+// The snapshot core: everything the two LSA engines share, written once.
+//
+// The Lazy Snapshot Algorithm is one algorithm -- a [lower, upper]
+// snapshot, lazy extension, and a commit stamp drawn after locking. The
+// per-TVar engine (core/lsa_stm.hpp) and the orec-table engine
+// (core/orec_stm.hpp) differ only in where the version word lives: in a
+// TVar lock word with a version history behind it, or in a hashed orec
+// with none. So the snapshot bookkeeping, the striped commit-epoch filter,
+// commit-time validation, the irrevocability gate, the retry ladder and
+// the statistics live here, and each engine adds its own read admission,
+// lock loop and write-back on top.
+//
+// The core is three class templates, each a CRTP base of one engine class
+// (nothing is virtual):
+//  * SnapshotTx<Engine, Cfg, Sets>: per-attempt snapshot state, stripe
+//    filter, try_extend, become_irrevocable, write-set lookup and the
+//    middle of commit (stripe bumps, stamp draw, validation, freshness).
+//    The engine's transaction provides five hooks:
+//      bool walk_read_set() const        -- full O(R) read-set validation
+//      std::uint64_t extension_cap() const
+//                                        -- ceiling for `upper` (the LSA
+//                                           engine's oldest history read)
+//      bool reads_in_present() const     -- false once a read was served
+//                                           from version history
+//      void note_own_stamp(std::uint64_t) -- every stamp the attempt draws
+//      static write_key(const Rec&)      -- the address a write record
+//                                           covers (TVar or granule)
+//  * SnapshotContext<Engine, Tx, Cfg, Sets>: the per-thread handle's run()
+//    loop with its degradation ladder, txn_commit and stats. The engine's
+//    context provides txn_begin(), a kEngineName for RetryExhausted, and
+//    note_own_stamp() for the stamps its freshness aborts draw.
+//  * SnapshotEngine<Cfg>: the engine shell -- time base, epoch stripes,
+//    irrevocability gate and the per-context stats registry.
+// Ahead of them sit the types both engines use: TxStats, RetryExhausted,
+// the per-context StatsBlock, the irrevocability gate, and the pooled
+// containers the access sets are built from (FlatVec, PtrTable, PtrIndex).
+
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include <chronostm/core/epoch_stripes.hpp>
+#include <chronostm/timebase/facade.hpp>
+#include <chronostm/util/failpoints.hpp>
+#include <chronostm/util/pause.hpp>
+
+namespace chronostm {
+
+class TxStats;
+
+namespace detail {
+struct StatsBlock;
+inline void accumulate(TxStats& s, const StatsBlock& b);
+}  // namespace detail
+
+class TxStats {
+ public:
+    TxStats() = default;
+    TxStats(std::uint64_t commits, std::uint64_t aborts,
+            std::uint64_t helped_c = 0, std::uint64_t false_conf = 0)
+        : helped_commits(helped_c),
+          false_conflicts(false_conf),
+          commits_(commits),
+          aborts_(aborts) {}
+    // The fourth of five arguments is ignored; this overload keeps
+    // five-argument callers compiling.
+    TxStats(std::uint64_t commits, std::uint64_t aborts,
+            std::uint64_t helped_c, std::uint64_t /*ignored*/,
+            std::uint64_t false_conf)
+        : TxStats(commits, aborts, helped_c, false_conf) {}
+
+    std::uint64_t commits() const { return commits_; }
+    std::uint64_t aborts() const { return aborts_; }
+
+    // Helping counter (LSA-RT), public so drivers can sum it directly.
+    // helped_commits counts help EVENTS -- calls in which a thread applied
+    // at least one write record of a foreign decided commit -- not
+    // distinct commits: several helpers splitting one large write set each
+    // count one event. Always 0 for the orec engine, which has no helping.
+    std::uint64_t helped_commits = 0;
+
+    // Orec-table aliasing events (core/orec_stm.hpp): number of times a
+    // transaction observed two DISTINCT granule addresses mapping to the
+    // same ownership record -- in its read set (counted once per aliased
+    // orec entry) or in its write set at lock time (once per extra granule
+    // sharing an already-locked orec). Always 0 for the per-TVar engines,
+    // whose metadata cannot alias.
+    std::uint64_t false_conflicts = 0;
+
+    // Snapshot-extension traffic: `extensions` counts successful extensions
+    // (upper bound moved forward), `extension_fast_hits` the subset that the
+    // commit-epoch filter admitted without walking the read set, and
+    // `validation_fast_hits` commit-time validations skipped the same way.
+    std::uint64_t extensions = 0;
+    std::uint64_t extension_fast_hits = 0;
+    std::uint64_t validation_fast_hits = 0;
+
+    // Striped-filter traffic: `stripe_fast_hits` counts extension and
+    // commit-time validations the per-stripe comparison admitted without
+    // walking the read set (extension_fast_hits + validation_fast_hits,
+    // derived at read time); `stripe_walks` the times the comparison found a
+    // touched stripe bumped and forced the O(R) walk (a disjoint writer in
+    // another stripe moves neither). Both 0 with the filter off.
+    std::uint64_t stripe_fast_hits = 0;
+    std::uint64_t stripe_walks = 0;
+
+    // Read-only commits: empty-write-set transactions that committed without
+    // drawing a stamp, taking a lock, or bumping the commit epoch.
+    std::uint64_t ro_commits = 0;
+
+    // Total time spent in inter-attempt backoff (util/pause.hpp), rounded
+    // down to microseconds from an internal nanosecond accumulator.
+    std::uint64_t backoff_us = 0;
+
+    // Degradation-ladder traffic. `escalations` counts acquisitions of the
+    // engine-global irrevocability token (auto-escalation in run() plus
+    // explicit become_irrevocable calls); `irrevocable_commits` the commits
+    // that happened while holding it. `stall_waits` counts lock waits that
+    // outlived the polite spin budget (the owner looked preempted);
+    // `stalled_aborts` the subset that gave up on a provably stalled owner
+    // and aborted through the contention seam. `injected_faults` counts
+    // failpoint activations charged to this context (always 0 unless built
+    // with CHRONOSTM_FAILPOINTS).
+    std::uint64_t irrevocable_commits = 0;
+    std::uint64_t escalations = 0;
+    std::uint64_t stall_waits = 0;
+    std::uint64_t stalled_aborts = 0;
+    std::uint64_t injected_faults = 0;
+
+ private:
+    friend void detail::accumulate(TxStats&, const detail::StatsBlock&);
+
+    std::uint64_t commits_ = 0;
+    std::uint64_t aborts_ = 0;
+};
+
+// Retry-budget exhaustion: run() aborted max_retries consecutive times
+// without the degradation ladder rescuing the transaction (only possible
+// when irrevocable_threshold is 0 or above max_retries). Carries the
+// context's counters at throw time plus the failed transaction's own abort
+// taxonomy, so callers can tell livelock (conflict-dominated: backoff and
+// contention management lost) from time-base starvation (freshness-
+// dominated: the snapshot could never reach the present).
+class RetryExhausted : public std::runtime_error {
+ public:
+    RetryExhausted(const char* engine, TxStats snapshot,
+                   std::uint64_t conflicts, std::uint64_t freshness)
+        : std::runtime_error(std::string("chronostm: ") + engine +
+                             " transaction exceeded retry bound (" +
+                             std::to_string(conflicts) + " conflict / " +
+                             std::to_string(freshness) +
+                             " freshness aborts)"),
+          stats(snapshot),
+          conflict_aborts(conflicts),
+          freshness_aborts(freshness) {}
+
+    // Context counters at throw time (commits/aborts cover the whole
+    // context, not just the failed transaction).
+    TxStats stats;
+    // The failed transaction's aborts split by class; sums to max_retries.
+    std::uint64_t conflict_aborts;
+    std::uint64_t freshness_aborts;
+};
+
+namespace detail {
+
+// Write/read sets scan linearly up to this many entries (a handful of
+// cache-hot compares beats any hash); past it an open-addressing index
+// takes over and every lookup is O(1).
+inline constexpr std::size_t kInlineScan = 8;
+
+// freshness=true marks aborts where the snapshot could not be extended
+// because the time base itself had not advanced past `upper` (a too-new
+// version with no usable old one). Only these aborts warrant run()'s
+// draw-and-discard stamp: conflict aborts resolve through backoff and must
+// not drain batched/sharded counter blocks.
+struct AbortTx {
+    bool freshness = false;
+};
+
+// Per-context statistics, one block per thread context. Each block has a
+// single writer (its owning context; helpers count into their OWN block),
+// so an increment is a relaxed load plus store -- no lock-prefixed RMW --
+// and readers on other threads see a recent, untorn value. Padded to its
+// own cache lines: contexts' blocks are allocated back to back.
+struct alignas(64) StatsBlock {
+    std::atomic<std::uint64_t> commits{0};
+    std::atomic<std::uint64_t> aborts{0};
+    std::atomic<std::uint64_t> helped_commits{0};
+    std::atomic<std::uint64_t> false_conflicts{0};
+    std::atomic<std::uint64_t> extensions{0};
+    std::atomic<std::uint64_t> extension_fast_hits{0};
+    std::atomic<std::uint64_t> validation_fast_hits{0};
+    std::atomic<std::uint64_t> stripe_walks{0};
+    std::atomic<std::uint64_t> ro_commits{0};
+    // Nanoseconds internally; TxStats surfaces microseconds.
+    std::atomic<std::uint64_t> backoff_ns{0};
+    std::atomic<std::uint64_t> irrevocable_commits{0};
+    std::atomic<std::uint64_t> escalations{0};
+    std::atomic<std::uint64_t> stall_waits{0};
+    std::atomic<std::uint64_t> stalled_aborts{0};
+    std::atomic<std::uint64_t> injected_faults{0};
+};
+
+// Single-writer increment of a StatsBlock counter.
+inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+    c.store(c.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+}
+
+// Add one stats block into a TxStats: a context's stats() is one call, an
+// engine's collected_stats() one call per block. Every stripe-filter fast
+// hit is an extension or a validation fast hit, so stripe_fast_hits is
+// their sum rather than a counter of its own.
+inline void accumulate(TxStats& s, const StatsBlock& b) {
+    const auto get = [](const std::atomic<std::uint64_t>& c) {
+        return c.load(std::memory_order_relaxed);
+    };
+    s.commits_ += get(b.commits);
+    s.aborts_ += get(b.aborts);
+    s.helped_commits += get(b.helped_commits);
+    s.false_conflicts += get(b.false_conflicts);
+    s.extensions += get(b.extensions);
+    s.extension_fast_hits += get(b.extension_fast_hits);
+    s.validation_fast_hits += get(b.validation_fast_hits);
+    s.stripe_fast_hits +=
+        get(b.extension_fast_hits) + get(b.validation_fast_hits);
+    s.stripe_walks += get(b.stripe_walks);
+    s.ro_commits += get(b.ro_commits);
+    s.backoff_us += get(b.backoff_ns) / 1000;
+    s.irrevocable_commits += get(b.irrevocable_commits);
+    s.escalations += get(b.escalations);
+    s.stall_waits += get(b.stall_waits);
+    s.stalled_aborts += get(b.stalled_aborts);
+    s.injected_faults += get(b.injected_faults);
+}
+
+// One context's "update commit in flight" flag, on its own cache line so
+// the commit path writes nothing another context writes.
+struct alignas(64) CommitFlag {
+    std::atomic<std::uint32_t> in_commit{0};
+};
+
+// Engine-global irrevocability gate: a token flag plus one CommitFlag per
+// context. Update commits raise their flag before taking their first lock
+// and lower it after their last unlock or rollback; a transaction that
+// escalates first claims the token (stalling NEW committers at the door)
+// and then waits until every enrolled flag reads 0, so the irrevocable
+// attempt runs against a quiescent commit pipeline: no lock is held by
+// anyone else, no version can change under its feet, and its own commit
+// needs no validation. Read-only commits never touch the gate -- they
+// cannot invalidate anything.
+//
+// Door and drain pair Dekker-style: the committer stores its flag and then
+// loads the token, the acquirer sets the token and then loads every flag,
+// all seq_cst -- so at least one side sees the other (DESIGN.md
+// "Irrevocability via quiescence"). A committer's only shared write is its
+// own flag's line; the token word is written only by escalation.
+class IrrevGate {
+ public:
+    // Identity of the current token holder (the TxDesc in the LSA engine;
+    // the orec engine has no conflict arbitration and passes nullptr) so
+    // arbitration can exempt it from kills.
+    std::atomic<const void*> holder{nullptr};
+
+    // A new context's flag; it lives as long as the gate.
+    CommitFlag* enroll() {
+        std::lock_guard<std::mutex> g(mu_);
+        flags_.push_back(std::make_unique<CommitFlag>());
+        return flags_.back().get();
+    }
+
+    void enter_commit(CommitFlag& f) {
+        for (;;) {
+            f.in_commit.store(1, std::memory_order_seq_cst);
+            if (!token_.load(std::memory_order_seq_cst)) return;
+            // An irrevocable transaction is running; it is guaranteed to
+            // finish, so waiting here (flag down) is bounded.
+            f.in_commit.store(0, std::memory_order_release);
+            while (token_.load(std::memory_order_acquire))
+                std::this_thread::yield();
+        }
+    }
+    static void exit_commit(CommitFlag& f) {
+        f.in_commit.store(0, std::memory_order_release);
+    }
+
+    void acquire(const void* who) {
+        bool t = false;
+        // One irrevocable transaction at a time.
+        while (!token_.compare_exchange_strong(t, true,
+                                               std::memory_order_seq_cst,
+                                               std::memory_order_relaxed)) {
+            t = false;
+            std::this_thread::yield();
+        }
+        holder.store(who, std::memory_order_release);
+        // Drain: in-flight committers finish (or roll back) on their own;
+        // none of them can block on us because we hold no locks yet, and
+        // a committer arriving after the token sees it and stays out. A
+        // context enrolled after this scan starts raises its flag only
+        // after enrolling, hence after the token was set, so it stays out
+        // too.
+        std::lock_guard<std::mutex> g(mu_);
+        for (const auto& f : flags_) {
+            std::uint64_t spins = 0;
+            while (f->in_commit.load(std::memory_order_seq_cst) != 0) {
+                cpu_relax();
+                if ((++spins & 63u) == 0) std::this_thread::yield();
+            }
+        }
+    }
+    void release() {
+        holder.store(nullptr, std::memory_order_release);
+        token_.store(false, std::memory_order_release);
+    }
+    bool held_by(const void* who) const {
+        return who != nullptr &&
+               holder.load(std::memory_order_acquire) == who;
+    }
+    bool active() const {
+        return token_.load(std::memory_order_acquire);
+    }
+
+ private:
+    alignas(64) std::atomic<bool> token_{false};
+    std::mutex mu_;
+    std::vector<std::unique_ptr<CommitFlag>> flags_;
+};
+
+// Exception-safe gate exit: commit() arms this after enter_commit() so
+// every path out -- success, rollback returns, AbortTx, or a throwing
+// value copy during write-back -- lowers the context's flag.
+struct GateGuard {
+    CommitFlag* flag = nullptr;
+    ~GateGuard() {
+        if (flag) IrrevGate::exit_commit(*flag);
+    }
+};
+
+// Exception-safe token release for run(): the normal commit path releases
+// the token in txn_commit; this guard covers abnormal exits (an exception
+// escaping the user functor while escalated must not leave the engine
+// wedged behind a stuck token).
+struct TokenGuard {
+    IrrevGate* gate = nullptr;
+    bool* held = nullptr;
+    ~TokenGuard() {
+        if (held != nullptr && *held) {
+            gate->release();
+            *held = false;
+        }
+    }
+};
+
+// Flat append-only array used for the read and write sets. Exists because
+// std::vector::push_back compiles to a reload-heavy sequence (the header
+// lives behind two pointers and the growth call clobbers registers) that
+// shows up at ~6ns/read on the hot path. Here the hot path is one
+// predictable branch plus an indexed store; growth is outlined and cold.
+// Capacity persists across clear(), so the steady state never allocates.
+template <typename T>
+class FlatVec {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "FlatVec is for POD access-set entries");
+
+ public:
+    void push_back(const T& v) {
+        if (__builtin_expect(n_ == cap_, 0)) grow();
+        data_[n_++] = v;
+    }
+
+    void clear() { n_ = 0; }
+    std::uint32_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    T& operator[](std::size_t i) { return data_[i]; }
+    const T& operator[](std::size_t i) const { return data_[i]; }
+    T* begin() { return data_.get(); }
+    T* end() { return data_.get() + n_; }
+    const T* begin() const { return data_.get(); }
+    const T* end() const { return data_.get() + n_; }
+
+ private:
+    __attribute__((noinline)) void grow() {
+        const std::uint32_t cap = cap_ == 0 ? 64 : cap_ * 2;
+        auto bigger = std::make_unique<T[]>(cap);
+        for (std::uint32_t i = 0; i < n_; ++i) bigger[i] = data_[i];
+        data_ = std::move(bigger);
+        cap_ = cap;
+    }
+
+    std::unique_ptr<T[]> data_;
+    std::uint32_t n_ = 0;
+    std::uint32_t cap_ = 0;
+};
+
+// Open-addressing hash table keyed by pointer, the one table behind every
+// per-attempt set: the read sets (keyed by the read's version-word holder,
+// a TVar or an orec) and the write-set indices (PtrIndex below). The read
+// set IS such a table: nothing ever needs the reads in insertion order
+// (try_extend and commit validation iterate in any order, rollback never
+// touches them), so keeping a side index next to an append array would
+// double the per-read store traffic for nothing. One probe answers
+// "already present?" and, on a miss, leaves the landing slot staged so
+// insertion is a single store. clear() is a generation bump (u32; a wrap
+// triggers one hard reset every 4G transactions), and capacity persists,
+// so the steady state never allocates or memsets.
+//
+// E is a trivially copyable entry whose last field is `std::uint32_t gen`
+// (live iff it equals the table's generation) and whose key() returns the
+// key pointer; kKeyShift drops the key's alignment zeros before hashing.
+template <typename E, unsigned kKeyShift>
+class PtrTable {
+ public:
+    using Entry = E;
+
+    void clear() {
+        if (__builtin_expect(++gen_ == 0, 0)) hard_reset();
+        // Capacity is a high-water mark, and all_of scans it in full -- so
+        // one huge read-only transaction would tax every later small
+        // transaction on this context. Shrink once the table has been
+        // nearly empty for a sustained stretch (hysteresis avoids
+        // realloc churn under alternating big/small transactions).
+        if (__builtin_expect(cap_ > 64 && size_ * 16 < cap_, 0)) {
+            if (++small_streak_ >= 128) shrink();
+        } else {
+            small_streak_ = 0;
+        }
+        size_ = 0;
+    }
+
+    std::uint32_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    // Probes for `key`: its live entry, or nullptr with the landing slot
+    // staged for commit_stage (valid until the next probe or clear).
+    __attribute__((always_inline)) inline Entry* find_or_stage(
+        const void* key) {
+        if (__builtin_expect((size_ + 1) * 4 > cap_ * 3, 0)) grow();
+        std::size_t i = slot_of(key);
+        for (;;) {
+            Entry& e = entries_[i];
+            if (e.gen != gen_) {
+                stage_ = i;
+                return nullptr;
+            }
+            if (e.key() == key) return &e;
+            i = (i + 1) & mask_;
+        }
+    }
+
+    // Inserts an entry built from `fields` (every field but gen, in order)
+    // at the slot the last find_or_stage miss landed on.
+    template <typename... Fields>
+    __attribute__((always_inline)) inline void commit_stage(
+        Fields... fields) {
+        entries_[stage_] = Entry{fields..., gen_};
+        ++size_;
+    }
+
+    // Applies `f` to every live entry until it returns false; returns
+    // whether every entry passed. Iteration order is table order.
+    template <typename F>
+    bool all_of(F&& f) const {
+        for (std::size_t i = 0; i < cap_; ++i) {
+            const Entry& e = entries_[i];
+            if (e.gen == gen_ && !f(e)) return false;
+        }
+        return true;
+    }
+
+ private:
+    std::size_t slot_of(const void* key) const {
+        // Fibonacci hashing on the key with its alignment zeros shifted
+        // out.
+        const auto h = static_cast<std::uint64_t>(
+                           reinterpret_cast<std::uintptr_t>(key) >>
+                           kKeyShift) *
+                       0x9E3779B97F4A7C15ull;
+        return static_cast<std::size_t>(h >> shift_) & mask_;
+    }
+
+    void resize(std::size_t cap) {
+        cap_ = cap;
+        entries_ = std::make_unique<Entry[]>(cap_);  // zeroed: gen 0 = dead
+        mask_ = cap_ - 1;
+        shift_ = 1;
+        while ((std::size_t{1} << (64 - shift_)) > cap_) ++shift_;
+        gen_ = 1;
+    }
+
+    __attribute__((noinline)) void grow() {
+        auto old = std::move(entries_);
+        const std::size_t old_cap = cap_;
+        const std::uint32_t live = gen_;
+        resize(cap_ == 0 ? 64 : cap_ * 2);
+        for (std::size_t i = 0; i < old_cap; ++i) {
+            if (old[i].gen != live) continue;
+            std::size_t j = slot_of(old[i].key());
+            while (entries_[j].gen == gen_) j = (j + 1) & mask_;
+            entries_[j] = old[i];
+            entries_[j].gen = gen_;
+        }
+    }
+
+    void hard_reset() {
+        for (std::size_t i = 0; i < cap_; ++i) entries_[i].gen = 0;
+        gen_ = 1;
+    }
+
+    // Called from clear() with size_ entries about to be discarded anyway,
+    // so no rehash: just drop to a capacity sized for the recent traffic.
+    __attribute__((noinline)) void shrink() {
+        std::size_t cap = 64;
+        while (cap < std::size_t{size_} * 8) cap *= 2;
+        resize(cap);
+        small_streak_ = 0;
+    }
+
+    std::unique_ptr<Entry[]> entries_;
+    std::size_t cap_ = 0;
+    std::size_t mask_ = 0;
+    unsigned shift_ = 63;
+    std::size_t stage_ = 0;
+    std::uint32_t size_ = 0;
+    std::uint32_t gen_ = 1;
+    std::uint32_t small_streak_ = 0;
+};
+
+// Map from a pointer to a 32-bit payload (write-set positions, owned
+// orecs). find_or_stage remembers where an absent key's probe ended, so
+// the hot "miss then insert" pattern costs a single probe walk.
+struct IndexEntry {
+    const void* k;
+    std::uint32_t val;
+    std::uint32_t gen;
+    const void* key() const { return k; }
+};
+
+class PtrIndex {
+ public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    void clear() { table_.clear(); }
+
+    // The mapped value, or kNone with the landing bucket staged for a
+    // subsequent commit_stage (valid until the next probe or clear).
+    __attribute__((always_inline)) inline std::uint32_t find_or_stage(
+        const void* key) {
+        const IndexEntry* e = table_.find_or_stage(key);
+        return e != nullptr ? e->val : kNone;
+    }
+
+    // Inserts at the bucket the last find_or_stage miss landed on.
+    __attribute__((always_inline)) inline void commit_stage(
+        const void* key, std::uint32_t val) {
+        table_.commit_stage(key, val);
+    }
+
+    void insert(const void* key, std::uint32_t val) {
+        if (IndexEntry* e = table_.find_or_stage(key)) e->val = val;
+        else table_.commit_stage(key, val);
+    }
+
+ private:
+    PtrTable<IndexEntry, 4> table_;
+};
+
+template <typename Engine, typename Tx, typename Cfg, typename Sets>
+class SnapshotContext;
+
+// Engine shell: the time base, the epoch stripes, the irrevocability gate
+// and the registry of every context's stats block. LsaStm and OrecStm
+// derive from it and add their own metadata (descriptors, orec table).
+template <typename Cfg>
+class SnapshotEngine {
+ public:
+    SnapshotEngine(const SnapshotEngine&) = delete;
+    SnapshotEngine& operator=(const SnapshotEngine&) = delete;
+
+    // Aggregate counters over every context ever created.
+    TxStats collected_stats() const {
+        TxStats s;
+        std::lock_guard<std::mutex> g(mu_);
+        for (const auto& b : blocks_) accumulate(s, *b);
+        return s;
+    }
+
+    // Total epoch bumps across all stripes: one per DISTINCT stripe a
+    // writer commit's write set touched, at the point it reached the
+    // stamp draw. With filter_stripes=1 this is the single engine-global
+    // commit-epoch word. Exposed for tests and instrumentation.
+    std::uint64_t commit_epoch() const { return epoch_stripes_.sum(); }
+
+    // Which stripe covers an address -- lets tests and benches construct
+    // provably aliased or provably disjoint footprints.
+    unsigned filter_stripe_of(const void* p) const {
+        return epoch_stripes_.stripe_of(p);
+    }
+    unsigned filter_stripes() const { return epoch_stripes_.count(); }
+
+    const Cfg& config() const { return cfg_; }
+    tb::TimeBase& time_base() { return tbase_; }
+
+    // True while some transaction holds the irrevocability token; exposed
+    // for tests and instrumentation.
+    bool irrevocable_active() const { return irrev_gate_.active(); }
+
+ protected:
+    // The handle is held by value: registry-made bases stay alive through
+    // it, wrapped ones borrow (the concrete object must outlive the STM).
+    SnapshotEngine(tb::TimeBase tbase, Cfg cfg, EpochStripes stripes)
+        : tbase_(std::move(tbase)),
+          cfg_(std::move(cfg)),
+          epoch_stripes_(std::move(stripes)) {
+        cfg_.filter_stripes = epoch_stripes_.count();
+    }
+    ~SnapshotEngine() = default;
+
+    template <typename, typename, typename, typename>
+    friend class SnapshotContext;
+
+    tb::TimeBase tbase_;
+    Cfg cfg_;
+    // Cache-line-padded epoch stripes: a writer commit bumps only the
+    // stripes its write set hashes into; readers load only the stripes
+    // their read set touched. filter_stripes=1 degenerates to the single
+    // commit-epoch word.
+    EpochStripes epoch_stripes_;
+    // Irrevocability gate (token + per-context in-commit flags); an
+    // update commit writes only its own flag, never the token line.
+    IrrevGate irrev_gate_;
+    // Guards blocks_ and whatever registry the engine adds.
+    mutable std::mutex mu_;
+    std::vector<std::shared_ptr<StatsBlock>> blocks_;
+};
+
+// One transaction attempt's snapshot: the [lower, upper] interval, the
+// striped commit-epoch filter state, and the steps of the Lazy Snapshot
+// Algorithm that do not depend on where version words live. Engine is the
+// deriving transaction class (see the hooks in the file comment).
+template <typename Engine, typename Cfg, typename Sets>
+class SnapshotTx {
+ public:
+    using Clock = tb::ThreadClock;
+
+    SnapshotTx(const SnapshotTx&) = delete;
+    SnapshotTx& operator=(const SnapshotTx&) = delete;
+
+    // Explicit early abort: unwinds out of the user lambda; run() retries.
+    // Note that abort() defeats the degradation ladder by design: an
+    // irrevocable attempt that the user functor aborts retries irrevocably.
+    [[noreturn]] void abort() { throw AbortTx{}; }
+
+    // Escalate this attempt to irrevocable serial mode mid-flight: claim
+    // the engine-global token, drain in-flight update commits, then
+    // re-validate the snapshot once against the now-quiescent heap. On
+    // validation failure the attempt aborts (conflict class) but the token
+    // stays with the owning context, so the retry runs irrevocably from
+    // its first read. Idempotent; from here to commit nothing can abort
+    // this transaction.
+    void become_irrevocable() {
+        if (irrevocable_) return;
+        if (!*token_held_) {
+            gate_->acquire(gate_id_);
+            *token_held_ = true;
+            bump(stats_->escalations);
+        }
+        // A snapshot that fell back to old versions cannot serialize in
+        // the present; everything else is settled by one full validation
+        // walk -- after it succeeds no commit can run until we release.
+        if (!self().reads_in_present() || !self().walk_read_set())
+            throw AbortTx{};
+        irrevocable_ = true;
+    }
+
+    bool irrevocable() const { return irrevocable_; }
+
+    std::uint64_t snapshot_lower() const { return lower_; }
+    std::uint64_t snapshot_upper() const { return upper_; }
+
+    // Deduplicated set sizes (distinct TVars or orecs read, distinct TVars
+    // or granules written); exposed for tests and instrumentation.
+    std::size_t read_set_size() const { return sets_->reads.size(); }
+    std::size_t write_set_size() const { return sets_->writes.size(); }
+
+    // Instrumentation/bench hook: attempt a snapshot extension right now,
+    // exactly as a read that meets a too-new version would.
+    bool try_extend_now() { return try_extend(); }
+
+ protected:
+    template <typename, typename, typename, typename>
+    friend class SnapshotContext;
+
+    // Starts an attempt on context `c` (a SnapshotContext-derived class):
+    // resets the pooled access sets and anchors `upper` at the present.
+    // Per-stripe epoch snapshots are taken lazily at the stripe's first
+    // touch, always BEFORE the touched location's version-word load
+    // (touch_stripe in the read path): a writer that commits between
+    // snapshot and admission shows up as a stripe mismatch (false
+    // negative, walk runs), never as a stale fast hit. See DESIGN.md
+    // "Striped epoch soundness".
+    template <typename Ctx>
+    explicit SnapshotTx(Ctx& c)
+        : clk_(c.clk_),
+          cfg_(c.cfg_),
+          dev_(c.dev_),
+          stats_(c.stats_.get()),
+          sets_(&c.sets_),
+          stripes_(c.stripes_),
+          gate_(c.gate_),
+          commit_flag_(c.commit_flag_),
+          gate_id_(c.gate_id_),
+          token_held_(&c.token_held_),
+          irrevocable_(c.token_held_) {
+        sets_->reset();
+        CHRONOSTM_FP_SINK(&stats_->injected_faults);
+        upper_ = clk_.get_time();
+    }
+    SnapshotTx(SnapshotTx&&) = default;
+    ~SnapshotTx() = default;
+
+    Engine& self() { return static_cast<Engine&>(*this); }
+    const Engine& self() const { return static_cast<const Engine&>(*this); }
+
+    // --- snapshot maintenance -------------------------------------------
+
+    // First touch of a stripe: load its epoch snapshot and set the
+    // signature bit. Callers must invoke this BEFORE the version-word load
+    // that admits a read of a location in the stripe (soundness invariant
+    // in DESIGN.md "Striped epoch soundness").
+    void touch_stripe(const void* p) {
+        auto& sc = sets_->stripes;
+        const unsigned s = stripes_->stripe_of(p);
+        const std::uint64_t bit = std::uint64_t{1} << s;
+        if (!(sc.sig & bit)) {
+            sc.snap[s] = (*stripes_)[s].load(std::memory_order_acquire);
+            sc.sig |= bit;
+        }
+    }
+
+    // All touched stripes unchanged since their snapshots? Re-loads each
+    // signature stripe, recording the fresh values in `fresh` (indexed by
+    // stripe id) so the caller can re-anchor AFTER a successful walk via
+    // reanchor_stripes(). The snapshots must NOT be updated here: a
+    // failed walk proves a conflicting writer hit the read set, and
+    // absorbing its bump into the snapshot would let a later extension
+    // fast-hit past the very commit the walk just caught (the LSA
+    // engine's old-version fallback keeps read-only transactions alive
+    // after a failed extension, so the stale snapshot WOULD be consulted
+    // again -- the chaos bank oracle catches exactly this tear).
+    bool stripes_clean(std::uint64_t* fresh) const {
+        const auto& sc = sets_->stripes;
+        bool clean = true;
+        std::uint64_t sig = sc.sig;
+        while (sig != 0) {
+            const unsigned s = static_cast<unsigned>(__builtin_ctzll(sig));
+            sig &= sig - 1;
+            const std::uint64_t e =
+                (*stripes_)[s].load(std::memory_order_acquire);
+            fresh[s] = e;
+            if (e != sc.snap[s]) clean = false;
+        }
+        return clean;
+    }
+
+    // Move the stripe snapshots to the pre-walk values captured by
+    // stripes_clean(). Only sound after a SUCCESSFUL walk: any bump <=
+    // fresh[s] whose publish the walk did not see keeps its location
+    // locked until that publish, so the walk would have failed on the
+    // locked word.
+    void reanchor_stripes(const std::uint64_t* fresh) {
+        auto& sc = sets_->stripes;
+        std::uint64_t sig = sc.sig;
+        while (sig != 0) {
+            const unsigned s = static_cast<unsigned>(__builtin_ctzll(sig));
+            sig &= sig - 1;
+            sc.snap[s] = fresh[s];
+        }
+    }
+
+    // Try to move `upper` to the present (clamped to the engine's
+    // extension_cap()); all reads so far must still be the most recent
+    // versions (a changed or locked word means the extension would break
+    // snapshot consistency, so we refuse). The striped commit-epoch filter
+    // short-circuits the O(R) walk: if no writer bumped any stripe this
+    // transaction's read set hashes into since its snapshots, no read-set
+    // word can have changed (every conflicting writer bumps the covering
+    // stripe while holding the location's lock and unlocks only by
+    // publishing). `nu` is drawn BEFORE the stripe loads so a writer
+    // invisible to the stripe check necessarily drew its commit stamp
+    // after nu -- the deviation-aware admission rule then keeps its
+    // versions out of the extended snapshot. See DESIGN.md "Striped epoch
+    // soundness".
+    // Failure reason is recorded in extend_conflict_: false means time
+    // simply has not advanced past upper_ (a FRESHNESS condition), true
+    // means walk_read_set() found a changed or locked read-set word (a
+    // data CONFLICT -- per the abort taxonomy in DESIGN.md, backoff
+    // resolves it and the retry must not drain batched/sharded stamp
+    // blocks with a forced draw).
+    bool try_extend() {
+        extend_conflict_ = false;
+        const std::uint64_t nu =
+            std::min(clk_.get_time(), self().extension_cap());
+        if (nu <= upper_) return false;
+        if (cfg_.epoch_filter) {
+            std::uint64_t fresh[EpochStripes::kMaxStripes];
+            if (stripes_clean(fresh)) {
+                upper_ = nu;
+                bump(stats_->extensions);
+                bump(stats_->extension_fast_hits);
+                return true;
+            }
+            bump(stats_->stripe_walks);
+            if (!self().walk_read_set()) {
+                extend_conflict_ = true;
+                return false;
+            }
+            upper_ = nu;
+            reanchor_stripes(fresh);
+            bump(stats_->extensions);
+            return true;
+        }
+        if (!self().walk_read_set()) {
+            extend_conflict_ = true;
+            return false;
+        }
+        upper_ = nu;
+        bump(stats_->extensions);
+        return true;
+    }
+
+    // Cold continuation of a read that found a too-new version and has no
+    // old version to fall back on: returns only when extension succeeded
+    // (the caller retries the read), otherwise aborts, classed by why the
+    // extension failed (see try_extend). Outlined so the per-read hot
+    // path's code size and alignment do not depend on the extension/abort
+    // machinery.
+    __attribute__((noinline)) void extend_or_abort() {
+        if (cfg_.read_extension && try_extend()) return;
+        throw AbortTx{!extend_conflict_};
+    }
+
+    // --- write set --------------------------------------------------------
+
+    // Write-set lookup by the address a record covers (the engine's
+    // static write_key(rec)): a linear scan while the set is small, the
+    // open-addressing index past kInlineScan. Returns a position in the
+    // write set or PtrIndex::kNone, with the index's landing bucket staged
+    // for the append_write that usually follows a miss. Positions are only
+    // valid before commit sorts the write set.
+    std::uint32_t find_write_pos(const void* key) {
+        auto& ws = sets_->writes;
+        if (ws.size() <= kInlineScan) {
+            for (std::uint32_t i = 0; i < ws.size(); ++i)
+                if (Engine::write_key(ws[i]) == key) return i;
+            return PtrIndex::kNone;
+        }
+        return sets_->write_index.find_or_stage(key);
+    }
+
+    // Appends a record whose key find_write_pos just missed on.
+    template <typename Rec>
+    void append_write(const Rec& rec) {
+        auto& ws = sets_->writes;
+        ws.push_back(rec);
+        if (ws.size() == kInlineScan + 1) {
+            // Crossed the inline threshold: index everything accumulated.
+            for (std::uint32_t i = 0; i < ws.size(); ++i)
+                sets_->write_index.insert(Engine::write_key(ws[i]), i);
+        } else if (ws.size() > kInlineScan + 1) {
+            // find_write_pos just missed on this key: its staged bucket is
+            // ours.
+            sets_->write_index.commit_stage(Engine::write_key(rec),
+                                            ws.size() - 1);
+        }
+        writes_sorted_ = false;
+    }
+
+    // --- commit -----------------------------------------------------------
+
+    // Read-only fast path: an attempt with an empty write set commits at
+    // its snapshot -- its reads are consistent -- with no stamp drawn, no
+    // lock taken, no epoch bump. Returns false for update attempts.
+    bool commit_read_only() {
+        if (!sets_->writes.empty()) return false;
+        bump(stats_->ro_commits);
+        return true;
+    }
+
+    // Sort the write set by the address each record covers, the global
+    // lock order. Done once per attempt.
+    void sort_writes() {
+        if (writes_sorted_) return;
+        auto& ws = sets_->writes;
+        std::sort(ws.begin(), ws.end(), [](const auto& a, const auto& b) {
+            return Engine::write_key(a) < Engine::write_key(b);
+        });
+        writes_sorted_ = true;
+    }
+
+    // Update commits run inside the irrevocability gate: held at the door
+    // while a token holder is active, flagged in flight otherwise so an
+    // escalating transaction can drain the pipeline. The token holder
+    // itself skips the gate -- it IS the gate. The caller's guard exits on
+    // every path out, including exceptions.
+    void enter_gate(GateGuard& guard) {
+        if (irrevocable_) return;
+        gate_->enter_commit(*commit_flag_);
+        guard.flag = commit_flag_;
+    }
+
+    // The middle of an update commit, run with the whole write set locked:
+    // bump the write set's stripes, draw the commit stamp, validate the
+    // read set, and settle freshness. Returns false when the attempt must
+    // roll back (commit_stamp_stale_ then says whether it was freshness).
+    // `valid(entry)` tells whether a read-set entry is still the admitted
+    // version, including the engine's own-lock test; `pre_stamp()` is the
+    // engine's failpoint site in front of the stamp draw.
+    template <typename Valid, typename PreStamp>
+    bool stamp_and_validate(std::uint64_t& commit_ts, Valid valid,
+                            PreStamp pre_stamp) {
+        // Bump every DISTINCT stripe the write set hashes into while every
+        // write lock is held and BEFORE the stamp draw: a reader whose
+        // stripe check misses a bump drew its extension time before our
+        // stamp existed, so admission keeps our versions out; a reader
+        // that validates while we still hold a conflicting lock fails on
+        // the locked word. The bumps are unconditional past this point
+        // even if validation below aborts -- a spurious bump only costs
+        // other readers of those stripes a walk. For stripes our own read
+        // set also touched, the fetch_add return doubles as a cheap
+        // cleanliness pre-check (a foreign bump since our snapshot shows
+        // up as prev != snap).
+        const auto& sc = sets_->stripes;
+        bool epoch_clean = false;
+        std::uint64_t wsig = 0;  // stripes this commit bumped
+        if (cfg_.epoch_filter) {
+            epoch_clean = true;
+            for (const auto& rec : sets_->writes) {
+                const unsigned s =
+                    stripes_->stripe_of(Engine::write_key(rec));
+                const std::uint64_t bit = std::uint64_t{1} << s;
+                if (wsig & bit) continue;
+                wsig |= bit;
+                const std::uint64_t prev =
+                    (*stripes_)[s].fetch_add(1, std::memory_order_acq_rel);
+                if ((sc.sig & bit) && prev != sc.snap[s])
+                    epoch_clean = false;
+            }
+        }
+        // Chaos harness: stall in the window the epoch filter's post-draw
+        // re-check exists to close.
+        pre_stamp();
+        // Locks held: draw the commit timestamp. It MUST be drawn after
+        // the last lock is acquired -- a pre-lock stamp would let a reader
+        // that began after the stamp accept our writes next to pre-lock
+        // state it already read.
+        commit_ts = clk_.get_new_ts();
+        self().note_own_stamp(commit_ts);
+        // Re-check the touched stripes AFTER drawing commit_ts: the bump
+        // loop alone proves the read set clean only up to the bumps, but
+        // the commit serializes at commit_ts, drawn later. A writer that
+        // bumps in between may draw a SMALLER stamp (draw order on the
+        // shared counter is not fixed by bump order) and publish into our
+        // read set below commit_ts. Requiring every read-signature stripe
+        // to read exactly snapshot + (1 if we bumped it ourselves) closes
+        // that window: a foreign writer whose counter RMW preceded ours
+        // has its bump ordered before this load (bump -> its draw -> our
+        // draw -> this load), so any writer the load misses drew its
+        // stamp after ours -- the same residual class a post-draw walk
+        // admits (a walk cannot see a writer that locks after it runs).
+        // See DESIGN.md "Striped epoch soundness".
+        if (epoch_clean) {
+            std::uint64_t sig = sc.sig;
+            while (sig != 0) {
+                const unsigned s = static_cast<unsigned>(__builtin_ctzll(sig));
+                sig &= sig - 1;
+                const std::uint64_t expect = sc.snap[s] + ((wsig >> s) & 1u);
+                if ((*stripes_)[s].load(std::memory_order_acquire) != expect) {
+                    epoch_clean = false;
+                    break;
+                }
+            }
+        }
+
+        // Commit-time validation: if no other writer committed into any
+        // stripe this transaction's read set touched since its snapshots
+        // (stripes unchanged up to our own bumps, re-confirmed after the
+        // stamp draw), no read-set word can have changed -- skip the O(R)
+        // walk. Our own locks are covered too: we could only have locked
+        // a read location whose word was still the one we admitted (the
+        // lock CAS saved it in locked_word and nobody else bumped its
+        // stripe).
+        bool reads_valid;
+        if (irrevocable_) {
+            // Token held since before this attempt's first read (or since
+            // a successful become_irrevocable walk): the commit pipeline
+            // has been quiescent throughout, so no read-set word can have
+            // changed -- validation is vacuous.
+            reads_valid = true;
+        } else if (epoch_clean) {
+            reads_valid = true;
+            bump(stats_->validation_fast_hits);
+        } else {
+            if (cfg_.epoch_filter) bump(stats_->stripe_walks);
+            reads_valid = sets_->reads.all_of(valid);
+        }
+        if (!reads_valid) return false;
+        if (lower_ > commit_ts) {
+            if (!irrevocable_) {
+                // The stamp lags the snapshot's lower bound -- a time-base
+                // freshness problem (batched/sharded blocks), not a data
+                // conflict. Flag it so run() draws the counter forward.
+                commit_stamp_stale_ = true;
+                return false;
+            }
+            // The token holder cannot abort on a freshness problem: pull
+            // the time base forward by drawing (and discarding) stamps
+            // until the commit stamp clears the snapshot's lower bound.
+            // Each draw advances the counter, so this terminates.
+            do {
+                commit_ts = clk_.get_new_ts();
+            } while (lower_ > commit_ts);
+            self().note_own_stamp(commit_ts);
+        }
+        return true;
+    }
+
+    Clock& clk_;
+    const Cfg& cfg_;
+    // Pairwise stamp uncertainty: twice the time base's published
+    // per-stamp deviation.
+    std::uint64_t dev_;
+    StatsBlock* stats_;
+    Sets* sets_;
+    EpochStripes* stripes_;
+    IrrevGate* gate_;
+    CommitFlag* commit_flag_;
+    const void* gate_id_;
+    // Owning context's token flag: true while the context holds the
+    // engine-global irrevocability token (it survives aborted attempts,
+    // so the retry of a failed escalation reruns irrevocably).
+    bool* token_held_;
+    bool irrevocable_ = false;
+    std::uint64_t lower_ = 0;
+    std::uint64_t upper_ = 0;
+    bool writes_sorted_ = false;
+    // Set by commit() when it failed only because the drawn stamp lagged
+    // the snapshot (lower_ > commit_ts); run() treats that retry as a
+    // freshness abort and draws the time base forward.
+    bool commit_stamp_stale_ = false;
+    // Why the last try_extend() returned false: true when the read-set
+    // walk found a changed word (conflict), false when time had not
+    // advanced (freshness). Reset at every try_extend() entry.
+    bool extend_conflict_ = false;
+};
+
+// Per-thread handle: a thread clock, a stats block registered with the
+// engine, an enrolled gate flag and the pooled access sets every attempt
+// reuses. Movable; not thread-safe (one context per thread, one live
+// transaction per context). Engine is the deriving context class, Tx its
+// transaction type.
+template <typename Engine, typename Tx, typename Cfg, typename Sets>
+class SnapshotContext {
+ public:
+    using Clock = tb::ThreadClock;
+
+    // Runs `f` as a transaction until it commits, with bounded retry and
+    // exponential backoff. `f` takes the engine's transaction and may
+    // return a value, which run() passes through from the committed
+    // attempt.
+    template <typename F>
+    auto run(F&& f) {
+        using R = std::invoke_result_t<F&, Tx&>;
+        // Abnormal-exit insurance: an exception escaping the user functor
+        // (or the RetryExhausted below) while escalated must release the
+        // token; the normal commit path releases it in txn_commit first.
+        TokenGuard token_guard{gate_, &token_held_};
+        std::uint64_t conflict_aborts = 0, freshness_aborts = 0;
+        for (unsigned attempt = 0;; ++attempt) {
+            bool freshness = false;
+            maybe_escalate(attempt);
+            try {
+                Tx tx = self().txn_begin();
+                if constexpr (std::is_void_v<R>) {
+                    f(tx);
+                    if (txn_commit(tx)) return;
+                } else {
+                    R r = f(tx);
+                    if (txn_commit(tx)) return r;
+                }
+                freshness = tx.commit_stamp_stale_;
+            } catch (const AbortTx& abort) {
+                bump(stats_->aborts);
+                freshness = abort.freshness;
+            }
+            freshness ? ++freshness_aborts : ++conflict_aborts;
+            if (attempt + 1 >= cfg_.max_retries)
+                throw RetryExhausted(Engine::kEngineName, stats(),
+                                     conflict_aborts, freshness_aborts);
+            abort_pause(attempt, freshness);
+        }
+    }
+
+    // Degradation ladder, final rung: once a transaction has aborted
+    // irrevocable_threshold times in a row, claim the engine-global token
+    // so the next attempt runs irrevocably (quiescent commit pipeline,
+    // guaranteed commit). The token stays with the context until a commit
+    // succeeds or run() unwinds.
+    void maybe_escalate(unsigned attempt) {
+        if (token_held_ || cfg_.irrevocable_threshold == 0 ||
+            attempt < cfg_.irrevocable_threshold)
+            return;
+        gate_->acquire(gate_id_);
+        token_held_ = true;
+        bump(stats_->escalations);
+    }
+
+    // Post-abort pause, outlined so run()'s hot path (begin -> f ->
+    // commit, no abort) stays small enough to keep user code inlined
+    // into it. Force time forward on repeated FRESHNESS aborts by
+    // drawing (and discarding) a stamp: clock time bases advance on
+    // their own, but a counter whose committers draw timestamp BLOCKS
+    // (batched_counter) only moves when stamps are consumed -- an abort
+    // storm on a hot location could otherwise hold get_time still
+    // forever, and a snapshot that can never reach the present retries
+    // forever (freshness needs upper >= version + 2*dev). Conflict aborts
+    // resolve through backoff alone and must not drain the
+    // batched/sharded stamp blocks. The converse holds too: a freshness
+    // abort is not contention -- nobody holds anything this attempt is
+    // waiting on, the snapshot is merely stale -- so it retries
+    // immediately after the draw. Backing off there would serialize
+    // single-thread batched/sharded workloads behind sleep time for no
+    // benefit.
+    __attribute__((noinline)) void abort_pause(unsigned attempt,
+                                               bool freshness) {
+        if (freshness) {
+            if (attempt >= 1) self().note_own_stamp(clk_.get_new_ts());
+            return;
+        }
+        const auto b0 = std::chrono::steady_clock::now();
+        chronostm::backoff(attempt,
+                           reinterpret_cast<std::uintptr_t>(stats_.get()));
+        bump(stats_->backoff_ns,
+             static_cast<std::uint64_t>(
+                 std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - b0)
+                     .count()));
+    }
+
+    // Explicit transaction control for adapters and staged tests; run() is
+    // the preferred loop. A transaction from the engine's txn_begin() is
+    // valid for one attempt: reads/writes may throw detail::AbortTx, and
+    // txn_commit reports success. Statistics are counted like run() does.
+    bool txn_commit(Tx& tx) {
+        if (tx.commit()) {
+            bump(stats_->commits);
+            if (tx.irrevocable_) bump(stats_->irrevocable_commits);
+            if (token_held_) {
+                gate_->release();
+                token_held_ = false;
+            }
+            return true;
+        }
+        bump(stats_->aborts);
+        return false;
+    }
+
+    TxStats stats() const {
+        TxStats s;
+        accumulate(s, *stats_);
+        return s;
+    }
+
+ protected:
+    template <typename, typename, typename>
+    friend class SnapshotTx;
+
+    // Registers a stats block with `eng` and enrolls a gate flag.
+    // `gate_id` is this context's identity as irrevocability-token holder
+    // (see IrrevGate::holder).
+    SnapshotContext(SnapshotEngine<Cfg>& eng, const void* gate_id)
+        : clk_(eng.tbase_.make_thread_clock()),
+          cfg_(eng.cfg_),
+          // The time base publishes each stamp's deviation from true time;
+          // the core compares stamps from two different clocks, so the
+          // pairwise uncertainty -- and the validity-range shrink -- is
+          // twice that bound.
+          dev_(2 * eng.tbase_.deviation()),
+          stats_(std::make_shared<StatsBlock>()),
+          stripes_(&eng.epoch_stripes_),
+          gate_(&eng.irrev_gate_),
+          commit_flag_(gate_->enroll()),
+          gate_id_(gate_id) {
+        std::lock_guard<std::mutex> g(eng.mu_);
+        eng.blocks_.push_back(stats_);
+    }
+
+    Engine& self() { return static_cast<Engine&>(*this); }
+
+    Clock clk_;
+    Cfg cfg_;
+    std::uint64_t dev_;
+    std::shared_ptr<StatsBlock> stats_;
+    EpochStripes* stripes_;
+    IrrevGate* gate_;
+    // This context's in-commit flag, enrolled with the gate (which owns
+    // it, so it outlives the context).
+    CommitFlag* commit_flag_;
+    const void* gate_id_;
+    // True while this context holds the engine-global irrevocability
+    // token; survives aborted attempts so a failed escalation retries
+    // irrevocably instead of re-queuing for the token.
+    bool token_held_ = false;
+    Sets sets_;
+};
+
+}  // namespace detail
+}  // namespace chronostm

@@ -206,23 +206,22 @@ struct RunSpec {
     bool pin_threads = true;   // best-effort CPU pinning (Linux)
 };
 
-// Fixed log2-bucket latency histogram: bucket b holds samples whose
-// nanosecond value has bit width b (i.e. ns in [2^(b-1), 2^b - 1]), so
-// recording is a count-leading-zeros plus one increment -- no allocation
-// and no data-dependent branches on the measured path. Percentiles are
-// resolved to the bucket's upper bound, an at-most-2x overestimate,
-// which is the right bias for latency SLO gates.
+// Log-linear latency histogram: 16 linear sub-buckets per power of two,
+// so a bucket spans at most 1/16 of its lower bound (<= 6.25% wide, about
+// 3% worst-case error once percentiles interpolate inside the bucket).
+// Values below 32 ns get exact one-nanosecond buckets. Recording is a
+// count-leading-zeros, a shift and one increment: fixed size, no
+// allocation, no data-dependent loop on the measured path.
 struct LatencyHistogram {
-    static constexpr unsigned kBuckets = 64;
+    static constexpr unsigned kSubBits = 4;
+    static constexpr unsigned kSub = 1u << kSubBits;  // 16 per octave
+    // Exact buckets [0, 32), then octaves 2^5 .. 2^63.
+    static constexpr unsigned kBuckets = (64 - kSubBits + 1) * kSub;
     std::uint64_t count[kBuckets] = {};
     std::uint64_t total = 0;
 
     void record(std::uint64_t ns) {
-        unsigned b =
-            ns == 0 ? 0
-                    : 64u - static_cast<unsigned>(__builtin_clzll(ns));
-        if (b >= kBuckets) b = kBuckets - 1;
-        ++count[b];
+        ++count[index(ns)];
         ++total;
     }
 
@@ -231,20 +230,46 @@ struct LatencyHistogram {
         total += o.total;
     }
 
-    // Smallest bucket upper bound covering fraction `p` of the samples
-    // (p in [0,1]); 0 when no samples were recorded.
+    // Interpolated percentile, p in [0,1]: the value at rank p*(n-1),
+    // placed linearly inside the bucket holding that rank (exact for the
+    // one-nanosecond buckets); 0 when no samples were recorded.
     std::uint64_t percentile(double p) const {
         if (total == 0) return 0;
-        std::uint64_t target =
-            static_cast<std::uint64_t>(p * static_cast<double>(total));
-        if (target >= total) target = total - 1;
-        std::uint64_t seen = 0;
+        const double rank = p * static_cast<double>(total - 1);
+        std::uint64_t below = 0;
         for (unsigned b = 0; b < kBuckets; ++b) {
-            seen += count[b];
-            if (seen > target)
-                return b == 0 ? 0 : (std::uint64_t{1} << b) - 1;
+            const std::uint64_t c = count[b];
+            if (c == 0) continue;
+            if (static_cast<double>(below + c) > rank) {
+                const std::uint64_t lo = lower(b);
+                const std::uint64_t width =
+                    b < 2 * kSub ? 1 : std::uint64_t{1} << (b / kSub - 1);
+                if (width == 1) return lo;
+                const double frac =
+                    (rank - static_cast<double>(below) + 0.5) /
+                    static_cast<double>(c);
+                return lo + static_cast<std::uint64_t>(
+                                static_cast<double>(width) * frac);
+            }
+            below += c;
         }
         return ~std::uint64_t{0};
+    }
+
+    static unsigned index(std::uint64_t v) {
+        if (v < 2 * kSub) return static_cast<unsigned>(v);
+        const unsigned e = 63u - static_cast<unsigned>(__builtin_clzll(v));
+        const unsigned sub =
+            static_cast<unsigned>(v >> (e - kSubBits)) & (kSub - 1);
+        return (e - kSubBits + 1) * kSub + sub;
+    }
+
+    // Smallest value mapping to bucket b.
+    static std::uint64_t lower(unsigned b) {
+        if (b < 2 * kSub) return b;
+        const unsigned e = b / kSub + kSubBits - 1;
+        const std::uint64_t sub = b % kSub;
+        return (std::uint64_t{1} << e) + (sub << (e - kSubBits));
     }
 };
 
@@ -298,7 +323,7 @@ RunResult run_throughput(const RunSpec& spec, Factory&& make_op) {
             std::uint64_t measured = 0;
             // One clock read per op: each iteration's end timestamp is
             // the next one's start, so per-op latency costs a single
-            // steady_clock::now() and a log2-bucket increment.
+            // steady_clock::now() and a log-linear bucket increment.
             auto t_prev = std::chrono::steady_clock::now();
             for (;;) {
                 const int p = phase.load(std::memory_order_relaxed);

@@ -93,7 +93,7 @@ Outcome run_schedule(bool help) {
     if (!help) b.join();
 
     const auto stats = stm.collected_stats();
-    out.helped = stats.helped_commits + stats.helped_timestamps;
+    out.helped = stats.helped_commits;
     out.x_final = x.unsafe_peek();
     out.y_final = y.unsafe_peek();
     out.commits = stats.commits();
