@@ -377,24 +377,6 @@ void bm_update_commit_orec(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 
-// Write-back batching twin: the same 100-write orec update with the
-// pre-batching publish sequence (a release store per owned orec). The
-// batched default (BM_Orec_Update_Counter) must stay within
-// --writeback-gate of this row.
-void bm_orec_update_nobatch(benchmark::State& state) {
-    const auto writes = static_cast<std::size_t>(state.range(0));
-    OrecConfig cfg;
-    cfg.batched_writeback = false;
-    OrecRig rig("shared", writes, cfg);
-    auto ctx = rig.stm.make_context();
-    for (auto _ : state) {
-        ctx.run([&](OrecTransaction& tx) {
-            for (auto& v : rig.vars) v->set(tx, v->get(tx) + 1);
-        });
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<long>(writes));
-}
-
 // Wider-than-a-word TVar: exercises the lazy heap history ring that
 // word-sized TVars no longer use (their ring is embedded in the var).
 struct Wide {
@@ -486,9 +468,6 @@ void BM_ReadOnly_Commit_Lsa(benchmark::State& s) { bm_ro_commit_lsa(s); }
 void BM_Update_Commit_Lsa(benchmark::State& s) { bm_update_commit_lsa(s); }
 void BM_ReadOnly_Commit_Orec(benchmark::State& s) { bm_ro_commit_orec(s); }
 void BM_Update_Commit_Orec(benchmark::State& s) { bm_update_commit_orec(s); }
-void BM_Orec_Update_NoBatch(benchmark::State& s) {
-    bm_orec_update_nobatch(s);
-}
 
 }  // namespace
 
@@ -527,7 +506,6 @@ BENCHMARK(BM_ReadOnly_Commit_Lsa);
 BENCHMARK(BM_Update_Commit_Lsa);
 BENCHMARK(BM_ReadOnly_Commit_Orec);
 BENCHMARK(BM_Update_Commit_Orec);
-BENCHMARK(BM_Orec_Update_NoBatch)->Arg(100);
 
 int main(int argc, char** argv) {
     // Uniform --timebase flag: each extra spec registers the full row set

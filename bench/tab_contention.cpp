@@ -120,8 +120,7 @@ int main(int argc, char** argv) {
     };
 
     const std::string irrev_key = "irrev=" + std::to_string(irrev_threshold);
-    for (const char* policy :
-         {"suicide", "aggressive", "polite", "karma", "timestamp"})
+    for (const char* policy : {"suicide", "aggressive", "polite", "timestamp"})
         run_row(policy, wl::engine_spec_with(std::string("lsa:cm=") + policy,
                                              irrev_key));
 

@@ -10,14 +10,13 @@
 // gate, the retry ladder and stats -- live in core/snapshot_core.hpp. This
 // file adds what is specific to per-TVar metadata: the lock word and
 // version history, read admission with the old-version fallback, commit
-// descriptors with helping, and the contention managers.
+// descriptors, and the contention managers.
 //
 // Design, following the paper:
 //  * Each TVar carries a versioned lock word ("orec"). Unlocked it holds
 //    (version_ts << 1); locked it holds (TxDesc* | 1), a pointer to the
 //    owner's published commit descriptor, so conflicting threads can
-//    inspect the owner, help it finish (LSA-RT commit helping), or ask a
-//    contention manager to arbitrate.
+//    inspect the owner and ask a contention manager to arbitrate.
 //  * Each TVar keeps a bounded history of old versions with validity
 //    ranges [from, until), so long read-only transactions can read a
 //    consistent-but-old snapshot instead of aborting (multi-version LSA;
@@ -33,15 +32,13 @@
 //  * Writes are buffered in a lazy write set; commit locks the write set in
 //    address order, draws one new timestamp from the time base, validates
 //    the read set, then publishes values with the new version timestamp.
-//    Once the descriptor is published as Committed, the write-back is
-//    claim-based and idempotent: any thread that meets a locked orec can
-//    finish the commit on the owner's behalf (StmConfig::help_committers),
-//    which keeps the system moving when a committer is preempted.
+//    Only the owner writes back: a thread that meets a locked orec waits
+//    it out or arbitrates, it never finishes the commit itself.
 //  * Conflict resolution is delegated to a pluggable contention manager
 //    (StmConfig::contention_manager): suicide, polite (backoff), aggressive,
-//    karma, timestamp. Managers that abort the enemy do so cooperatively by
+//    timestamp. Managers that abort the enemy do so cooperatively by
 //    CASing the owner's descriptor from Locking/NeedTs to Killed; a
-//    descriptor that reached Committed can no longer be killed, only helped.
+//    descriptor that reached Committed can no longer be killed.
 //  * With an externally synchronized time base, every version's validity
 //    range is shrunk at both ends by the pairwise stamp uncertainty (twice
 //    the published per-stamp deviation bound: both the version's stamp and
@@ -99,7 +96,6 @@ enum class CmPolicy {
     kSuicide,     // abort self immediately on any conflict
     kPolite,      // bounded spin, then abort self (a.k.a. backoff)
     kAggressive,  // abort the enemy when possible, spin hard otherwise
-    kKarma,       // bigger accumulated access set wins; loser backs off
     kTimestamp,   // older transaction wins; younger backs off
 };
 
@@ -108,7 +104,6 @@ inline CmPolicy parse_contention_manager(const std::string& name) {
         return CmPolicy::kPolite;
     if (name == "suicide") return CmPolicy::kSuicide;
     if (name == "aggressive") return CmPolicy::kAggressive;
-    if (name == "karma") return CmPolicy::kKarma;
     if (name == "timestamp") return CmPolicy::kTimestamp;
     throw std::invalid_argument("chronostm: unknown contention manager: " +
                                 name);
@@ -122,17 +117,12 @@ struct StmConfig : stm::CommonConfig {
     // (TL2-like), larger values let long readers survive concurrent
     // updates. Capped at detail::kMaxHistory + 1.
     unsigned max_versions = 8;
-    // Commit helping (LSA-RT): threads that meet a lock owned by a
-    // transaction whose descriptor already reached Committed finish its
-    // write-back instead of waiting it out. Off = plain bounded spinning
-    // on foreign locks.
-    bool help_committers = true;
     // Conflict arbitration policy; see CmPolicy. Parsed once per LsaStm.
     std::string contention_manager = "polite";
     // Test-only: invoked on the committing thread right after its
-    // descriptor is published as Committed (claims armed) and before it
-    // applies its own write set -- lets tests freeze a committer at the
-    // exact point where helping can take over. Leave empty in production.
+    // descriptor is published as Committed and before it applies its write
+    // set -- lets tests freeze a decided committer that still holds every
+    // lock. Leave empty in production.
     std::function<void()> commit_publish_hook;
 };
 
@@ -146,36 +136,24 @@ enum TxStatus : int {
     kTxIdle = 0,
     kTxLocking,    // acquiring write-set locks in address order
     kTxNeedTs,     // locks held, waiting for a commit timestamp
-    kTxCommitted,  // decided; write-back may be claimed by anybody
+    kTxCommitted,  // decided; the owner is writing back
     kTxKilled,     // a contention manager aborted this attempt
 };
 
 class TVarBase;
 
-// Type-erased write record: lives in the owning context's arena, applied
-// (value publish + orec unlock) by the owner or by a helper. Type erasure
-// is a plain function pointer -- no vtable, no virtual destructor -- so
-// records are trivially destructible and the arena can recycle them by
-// rewinding a pointer.
+// Type-erased write record: lives in the owning context's arena and is
+// applied by the owner's write-back. Type erasure is a plain function
+// pointer -- no vtable, no virtual destructor -- so records are trivially
+// destructible and the arena can recycle them by rewinding a pointer.
 struct CommitRec {
     TVarBase* var = nullptr;
     std::uint64_t locked_word = 0;  // unlocked word this lock replaced
-    void (*apply_fn)(CommitRec*, std::uint64_t new_ts, std::uint64_t old_ts,
-                     unsigned keep_old, bool publish) = nullptr;
-    // Full apply: store the new value and publish/unlock the version word
-    // with its own release fence. Used by helpers, which claim records one
-    // at a time and must leave each one fully published.
-    void apply(std::uint64_t new_ts, std::uint64_t old_ts,
-               unsigned keep_old) {
-        apply_fn(this, new_ts, old_ts, keep_old, true);
-    }
-    // Data-only apply for the owner's batched write-back: stores the value
-    // (and history rotation) but leaves the version word locked. The caller
-    // publishes all claimed records after one shared release fence.
-    void apply_data(std::uint64_t new_ts, std::uint64_t old_ts,
-                    unsigned keep_old) {
-        apply_fn(this, new_ts, old_ts, keep_old, false);
-    }
+    // Stores the value (and history rotation) but leaves the version word
+    // locked: commit() publishes every version word after one shared
+    // release fence.
+    void (*apply)(CommitRec*, std::uint64_t new_ts, std::uint64_t old_ts,
+                  unsigned keep_old) = nullptr;
 };
 
 // Bump allocator for write records, reused across attempts/transactions:
@@ -247,9 +225,6 @@ struct AccessSets {
     FlatVec<CommitRec*> writes;  // records live in `arena`
     WriteArena arena;
     PtrIndex write_index;  // TVar* -> index into `writes` (pre-sort only)
-    // Commit-time scratch: slot indices this owner claimed, so the batched
-    // write-back can publish them all after a single release fence.
-    FlatVec<std::uint32_t> claimed;
     // Striped epoch-filter state for the in-flight attempt: the read-set
     // stripe signature plus the per-stripe epoch snapshots taken at first
     // touch (core/epoch_stripes.hpp).
@@ -260,111 +235,25 @@ struct AccessSets {
         writes.clear();
         arena.reset();
         write_index.clear();
-        claimed.clear();
         stripes.reset();
     }
 };
 
 // Published commit descriptor, one per thread context, reused across
-// transactions. Locked orecs point at it. Reuse is tag-guarded: write-set
-// slots are claimable only under the current sequence number, and slot
-// arrays only ever grow (retired arrays are kept until the descriptor
-// dies), so a stale helper can always dereference what it loaded and its
-// claim CAS is guaranteed to fail. Padded to its own cache lines: the
-// owner stores `status` several times per update commit, and contexts'
-// descriptors are allocated back to back.
+// transactions. Locked orecs point at it, so a conflicting transaction can
+// read the owner's status and start stamp and kill it cooperatively.
+// Padded to its own cache line: the owner stores `status` several times
+// per update commit, and contexts' descriptors are allocated back to back.
 struct alignas(64) TxDesc {
     std::atomic<int> status{kTxIdle};
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> new_ts{0};
-    std::atomic<unsigned> keep_old{0};
-    // Contention-manager metadata for the in-flight attempt.
-    std::atomic<std::uint64_t> karma{0};
+    // Seniority of the in-flight attempt, for the timestamp manager.
     std::atomic<std::uint64_t> start_ts{0};
-
-    struct Slot {
-        std::atomic<std::uint64_t> claim{0};  // 2*seq armed, 2*seq+1 taken
-        std::atomic<CommitRec*> rec{nullptr};
-    };
-    // Capacity travels with the array: a helper that pairs a stale array
-    // with a newer (larger) n_slots clamps to the array's own capacity
-    // instead of indexing out of bounds (the claim tags then make every
-    // stale access a failed CAS).
-    struct SlotArray {
-        explicit SlotArray(std::size_t c)
-            : cap(c), slots(std::make_unique<Slot[]>(c)) {}
-        const std::size_t cap;
-        const std::unique_ptr<Slot[]> slots;
-    };
-    std::atomic<SlotArray*> slots{nullptr};
-    std::atomic<std::size_t> n_slots{0};
-
-    // Owner-only; helpers read the array through the atomic pointer.
-    SlotArray* ensure_capacity(std::size_t n) {
-        auto* cur = slots.load(std::memory_order_relaxed);
-        if (cur != nullptr && n <= cur->cap) return cur;
-        std::size_t want = cur != nullptr ? cur->cap * 2 : 8;
-        while (want < n) want *= 2;
-        arenas_.push_back(std::make_unique<SlotArray>(want));
-        slots.store(arenas_.back().get(), std::memory_order_release);
-        return arenas_.back().get();
-    }
-
- private:
-    std::vector<std::unique_ptr<SlotArray>> arenas_;
 };
 
-// Finish a foreign Committed transaction's write-back. Claims are tagged
-// with the descriptor's sequence number, so helping a descriptor that has
-// since been reused degrades to a no-op (every CAS fails). Returns true if
-// this call applied at least one write record.
-inline bool help_apply(TxDesc* d, StatsBlock* stats) {
-    if (d->status.load(std::memory_order_acquire) != kTxCommitted)
-        return false;
-    const std::uint64_t q = d->seq.load(std::memory_order_acquire);
-    auto* arr = d->slots.load(std::memory_order_acquire);
-    std::size_t n = d->n_slots.load(std::memory_order_acquire);
-    if (arr == nullptr || n == 0) return false;
-    // NOTE: everything loaded so far may be stale (the descriptor may have
-    // been recycled for a later attempt between the loads) -- staleness is
-    // caught by the claim tag below, never acted on, and `arr` and `n` may
-    // even be from different attempts, so n is clamped to the array's own
-    // capacity. The write-set metadata must NOT be read here: a claim for
-    // attempt q+1 could otherwise be applied with attempt q's new_ts.
-    if (n > arr->cap) n = arr->cap;
-    auto* slots = arr->slots.get();
-    bool helped = false;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t expect = 2 * q;
-        if (!slots[i].claim.compare_exchange_strong(
-                expect, 2 * q + 1, std::memory_order_acq_rel,
-                std::memory_order_relaxed))
-            continue;
-        // A successful claim proves attempt q is still in write-back (the
-        // owner recycles the descriptor only once every slot has been
-        // claimed and applied), so metadata read AFTER the claim is
-        // exactly attempt q's, stable, and visible: the claim CAS
-        // synchronizes with the owner's post-publish claim store.
-        auto* rec = slots[i].rec.load(std::memory_order_relaxed);
-        const std::uint64_t nts = d->new_ts.load(std::memory_order_relaxed);
-        const unsigned keep = d->keep_old.load(std::memory_order_relaxed);
-        rec->apply(nts, rec->locked_word >> 1, keep);
-        helped = true;
-    }
-    if (helped && stats != nullptr)
-        detail::bump(stats->helped_commits);
-    return helped;
-}
-
-// Timestamp helping (a helper drawing the commit stamp on a stalled
-// committer's behalf) is deliberately NOT implemented: the correctness of
-// snapshot reads hinges on every commit stamp being drawn AFTER the whole
-// write set is locked, and a helper cannot prove its draw happened inside
-// the current attempt's window (the descriptor may have been recycled
-// between its status check and its draw). A pre-lock stamp would let a
-// fresh reader accept the commit's writes inside a snapshot that still
-// contains pre-lock state. Helpers therefore only ever finish decided
-// commits.
+// The commit stamp is drawn only after the whole write set is locked,
+// which is why no thread ever draws one on a stalled committer's behalf:
+// a stamp from before the last lock would let a fresh reader accept the
+// commit's writes inside a snapshot that still contains pre-lock state.
 
 }  // namespace detail
 
@@ -439,9 +328,8 @@ struct HistoryHolder<T, false> {
     HistoryHolder(const HistoryHolder&) = delete;
     HistoryHolder& operator=(const HistoryHolder&) = delete;
 
-    // Called with the owning TVar's lock bit held by exactly one thread
-    // (the committing owner or the helper that claimed the record), so the
-    // one-time allocation races nobody.
+    // Called with the owning TVar's lock bit held by the committing owner,
+    // so the one-time allocation races nobody.
     VersionHistory<T>* hist_for_write() {
         auto* h = h_.load(std::memory_order_relaxed);
         if (h == nullptr) {
@@ -486,21 +374,17 @@ class TVar : public TVarBase {
 
     using History = detail::VersionHistory<T>;
 
-    // Called with the lock bit held by exactly one thread (the committing
-    // owner or the helper that claimed this record). `old_ts` is the
-    // version being replaced (the lock word no longer carries it: locked
-    // words hold the descriptor pointer). The release fence keeps the
-    // (earlier) lock store visible before any of the data stores below on
-    // weakly-ordered hardware, so a reader that observes new data and then
-    // rechecks the lock word is guaranteed to see the lock (or the final
-    // version) -- the other half of the seqlock lives in Transaction::read
-    // / read_old_version. With publish=false (owner's batched write-back)
-    // both fence and version-publish are elided: the caller has already
-    // issued one fence covering every lock store of the batch and will
-    // publish all version words after another single fence.
+    // Called with the lock bit held by the committing owner. `old_ts` is
+    // the version being replaced (the lock word no longer carries it:
+    // locked words hold the descriptor pointer). Stores only the data. The
+    // caller's release fence before the write-back keeps every lock store
+    // visible before these stores, so a reader that observes new data and
+    // then rechecks the lock word sees the lock or the final version (the
+    // other half of the seqlock lives in Transaction::read /
+    // read_old_version). The caller publishes the version words after a
+    // second fence.
     void commit_write(const T& v, std::uint64_t new_ts, std::uint64_t old_ts,
-                      unsigned keep_old, bool publish) {
-        if (publish) std::atomic_thread_fence(std::memory_order_release);
+                      unsigned keep_old) {
         if (keep_old > 0) {
             History* h = hist_.hist_for_write();
             const unsigned head =
@@ -519,8 +403,6 @@ class TVar : public TVarBase {
             hist_.clear_history();
         }
         value_.store(v, std::memory_order_relaxed);
-        if (publish)
-            this->vlock_.store(new_ts << 1, std::memory_order_release);
     }
 
     std::atomic<T> value_;
@@ -544,10 +426,10 @@ class Transaction
         T value;
         static void do_apply(detail::CommitRec* rec,
                              std::uint64_t new_ts, std::uint64_t old_ts,
-                             unsigned keep_old, bool publish) {
+                             unsigned keep_old) {
             auto* self = static_cast<WriteRec*>(rec);
             static_cast<TVar<T, H>*>(self->var)->commit_write(
-                self->value, new_ts, old_ts, keep_old, publish);
+                self->value, new_ts, old_ts, keep_old);
         }
     };
 
@@ -574,8 +456,8 @@ class Transaction
                                               std::memory_order_relaxed);
     }
 
-    // Block on a foreign lock until it clears, helping and arbitrating per
-    // the contention manager; returns the (unlocked) current word. Throws
+    // Block on a foreign lock until it clears, arbitrating per the
+    // contention manager; returns the (unlocked) current word. Throws
     // AbortTx when the manager decides this transaction should yield.
     std::uint64_t wait_on_foreign_lock(TVarBase* var) {
         std::uint64_t spins = 0;
@@ -596,13 +478,10 @@ class Transaction
                     detail::kTxKilled)
                 throw detail::AbortTx{};
             auto* owner = decode_owner(w);
-            if (cfg_.help_committers &&
-                detail::help_apply(owner, stats_))
-                continue;
             // The token holder wins every arbitration: nobody kills it, and
-            // it never yields -- it outwaits (or helps) the lock owner,
-            // which is guaranteed to finish because an irrevocable attempt
-            // only ever meets locks of already-in-flight commits.
+            // it never yields -- it outwaits the lock owner, which is
+            // guaranteed to finish because an irrevocable attempt only ever
+            // meets locks of already-in-flight commits.
             const bool owner_irrevocable = gate_->held_by(owner);
             switch (cm_) {
                 case CmPolicy::kSuicide:
@@ -610,12 +489,6 @@ class Transaction
                     break;
                 case CmPolicy::kAggressive:
                     if (!owner_irrevocable) try_kill(owner);
-                    break;
-                case CmPolicy::kKarma:
-                    if (!owner_irrevocable &&
-                        sets_->reads.size() + sets_->writes.size() >
-                            owner->karma.load(std::memory_order_relaxed))
-                        try_kill(owner);
                     break;
                 case CmPolicy::kTimestamp:
                     if (!owner_irrevocable &&
@@ -755,7 +628,7 @@ class Transaction
                                           alignof(WriteRec<T, H>));
         auto* rec = new (mem) WriteRec<T, H>;
         rec->var = &var;
-        rec->apply_fn = &WriteRec<T, H>::do_apply;
+        rec->apply = &WriteRec<T, H>::do_apply;
         rec->value = std::move(v);
         append_write(static_cast<detail::CommitRec*>(rec));
     }
@@ -839,10 +712,10 @@ class Transaction
     }
 
     // Commit protocol: lock the write set in address order (descriptor
-    // pointer goes into each orec), publish NeedTs and draw or receive the
-    // commit timestamp, validate reads, publish Committed, then claim-and-
-    // apply the write set -- racing any helpers doing the same. Returns
-    // false on conflict or kill (caller counts the abort and retries).
+    // pointer goes into each orec), publish NeedTs, draw the commit
+    // timestamp and validate reads, publish Committed, then write back in
+    // one batch. Returns false on conflict or kill (caller counts the
+    // abort and retries).
     bool commit() {
         if (commit_read_only()) return true;
         auto& writes = sets_->writes;
@@ -863,9 +736,6 @@ class Transaction
         enter_gate(gate_guard);
 
         auto* d = desc_;
-        const std::uint64_t q = d->seq.load(std::memory_order_relaxed) + 1;
-        d->karma.store(sets_->reads.size() + writes.size(),
-                       std::memory_order_relaxed);
         d->start_ts.store(start_ts_, std::memory_order_relaxed);
         d->status.store(detail::kTxLocking, std::memory_order_release);
 
@@ -902,7 +772,7 @@ class Transaction
 
         // Locks held: announce NeedTs, then draw the commit timestamp
         // (stamp_and_validate). It MUST be drawn after the last lock is
-        // acquired -- see the timestamp-helping note above.
+        // acquired -- see the stamp-order note above.
         int expect = detail::kTxLocking;
         if (irrevocable_) {
             // The token holder ignores stale kills (a racer holding a
@@ -949,17 +819,6 @@ class Transaction
         for (const auto* rec : writes)
             new_ts = std::max(new_ts, (rec->locked_word >> 1) + 1);
 
-        // Stage the helper-visible write-set view. Claims stay tagged with
-        // the previous attempt until after the Committed CAS below, so no
-        // helper can apply an attempt that might still be killed.
-        auto* slots = d->ensure_capacity(writes.size())->slots.get();
-        for (std::size_t i = 0; i < writes.size(); ++i)
-            slots[i].rec.store(writes[i], std::memory_order_relaxed);
-        d->n_slots.store(writes.size(), std::memory_order_relaxed);
-        d->new_ts.store(new_ts, std::memory_order_relaxed);
-        d->keep_old.store(keep_old, std::memory_order_relaxed);
-        d->seq.store(q, std::memory_order_relaxed);
-
         expect = detail::kTxNeedTs;
         if (irrevocable_) {
             d->status.store(detail::kTxCommitted,
@@ -970,38 +829,21 @@ class Transaction
                        std::memory_order_relaxed)) {
             return rollback(writes.size());  // killed at the buzzer
         }
-        for (std::size_t i = 0; i < writes.size(); ++i)
-            slots[i].claim.store(2 * q, std::memory_order_release);
 
         if (cfg_.commit_publish_hook) cfg_.commit_publish_hook();
         // Chaos harness: a committer parked here is decided but has
-        // applied nothing -- the window commit helping exists for.
+        // applied nothing; waiters must tolerate or abort around it.
         (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_writeback);
 
-        // Claim-and-apply our own write set, racing helpers for each slot.
-        // Batched write-back: claim every slot first, run the data stores
-        // for all claimed records, then publish their version words behind
-        // a single release fence -- one fence per batch instead of one per
-        // record. Helpers that win claims keep the per-record fenced path
-        // (apply with publish=true), so mixed ownership stays correct
-        // var-by-var.
-        auto& claimed = sets_->claimed;
-        claimed.clear();
-        for (std::size_t i = 0; i < writes.size(); ++i) {
-            std::uint64_t expect_claim = 2 * q;
-            if (slots[i].claim.compare_exchange_strong(
-                    expect_claim, 2 * q + 1, std::memory_order_acq_rel,
-                    std::memory_order_relaxed))
-                claimed.push_back(static_cast<std::uint32_t>(i));
-        }
+        // Batched write-back, as in the orec engine: the data stores for
+        // the whole write set, then every version word, each pass behind
+        // one release fence instead of one fence per record.
         // Fence #1: the (earlier) lock stores stay visible before any data
         // store -- a reader that observes new data and rechecks the lock
         // word must see the lock (see commit_write's seqlock note).
         std::atomic_thread_fence(std::memory_order_release);
-        for (std::uint32_t i = 0; i < claimed.size(); ++i) {
-            auto* rec = writes[claimed[i]];
-            rec->apply_data(new_ts, rec->locked_word >> 1, keep_old);
-        }
+        for (auto* rec : writes)
+            rec->apply(rec, new_ts, rec->locked_word >> 1, keep_old);
         // Chaos harness: data applied, version words still locked.
         (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_unlock);
         // Fence #2: all data stores precede every version publish below
@@ -1009,20 +851,8 @@ class Transaction
         // acquire loads of the version word). kFencedPublishOrder is
         // relaxed except under TSan, which cannot model thread fences.
         std::atomic_thread_fence(std::memory_order_release);
-        for (std::uint32_t i = 0; i < claimed.size(); ++i)
-            writes[claimed[i]]->var->vlock_.store(
-                new_ts << 1, kFencedPublishOrder);
-        // Wait until every orec is unlocked (a helper may still be midway
-        // through a claimed slot) before the write records -- which that
-        // helper dereferences -- can be recycled along with the arena.
-        for (const auto* rec : writes) {
-            std::uint64_t spins = 0;
-            while (rec->var->vlock_.load(std::memory_order_acquire) ==
-                   my_lock_word()) {
-                cpu_relax();
-                if ((++spins & 255u) == 0) std::this_thread::yield();
-            }
-        }
+        for (const auto* rec : writes)
+            rec->var->vlock_.store(new_ts << 1, kFencedPublishOrder);
         d->status.store(detail::kTxIdle, std::memory_order_release);
         return true;
     }
@@ -1044,7 +874,6 @@ class Transaction
     detail::TxDesc* desc_;
     // Snapshot ceiling set by an old-version read (the version's end).
     std::uint64_t upper_cap_ = ~std::uint64_t{0};
-    std::uint64_t start_ts_ = 0;
     bool read_old_ = false;
 };
 
@@ -1087,7 +916,6 @@ class ThreadContext
 
 inline Transaction::Transaction(ThreadContext& ctx)
     : Core(ctx), cm_(ctx.cm_), desc_(ctx.desc_.get()) {
-    start_ts_ = upper_;
     // The snapshot's lower bound starts at the begin observation, not
     // at 0: read_old_version() must never serialize this transaction
     // before a version that provably ended before it began. Without
@@ -1111,9 +939,10 @@ class LsaStm : public detail::SnapshotEngine<StmConfig> {
     ThreadContext make_context() {
         auto desc = std::make_shared<detail::TxDesc>();
         {
-            // Descriptors are pinned for the STM's lifetime: a helper may
-            // hold a pointer to one (read out of a lock word) after the
-            // owning context has been destroyed.
+            // Descriptors are pinned for the STM's lifetime: a conflicting
+            // transaction may hold a pointer to one (read out of a lock
+            // word, for try_kill) after the owning context has been
+            // destroyed.
             std::lock_guard<std::mutex> g(mu_);
             descs_.push_back(desc);
         }

@@ -31,8 +31,8 @@
 //  * single-version: no history ring to fall back on, so a reader that
 //    cannot extend aborts where the TVar engine might serve an old version;
 //  * locks are TL2-style in-place bit sets (word | 1) that PRESERVE the
-//    version, not descriptor pointers -- so there is no commit helping and
-//    no contention-manager plumbing, just bounded spinning with stall
+//    version, not descriptor pointers -- so there is no contention-
+//    manager plumbing, just bounded spinning with stall
 //    detection on foreign locks. Commit-time read validation tells "locked
 //    by me" from "locked by an enemy holding the same version" through the
 //    commit's own ownership index, never through the word alone.
@@ -80,12 +80,6 @@ struct OrecConfig : stm::CommonConfig {
     // Smaller tables raise the false-conflict rate (see DESIGN.md for the
     // math); the dedicated orec test shrinks this to force collisions.
     unsigned table_bits = 16;
-    // Commit-time write-back batching: one release fence for the whole
-    // write set and relaxed per-orec publishes, instead of release stores
-    // per orec. Off reproduces the pre-batching publish sequence (kept
-    // selectable so check_bench.py can gate batched against unbatched in
-    // the same run).
-    bool batched_writeback = true;
 };
 
 namespace detail {
@@ -337,7 +331,7 @@ class OrecTransaction
     }
 
     // Bounded wait for a foreign in-place lock to clear, with stall
-    // detection. No descriptor to help or kill: after cfg_.lock_spin
+    // detection. No descriptor to kill: after cfg_.lock_spin
     // polite spins the waiter anchors the time base (stall_waits) and
     // tolerates the lock until either the total attempt budget runs out
     // or the base advances stall_ts_budget stamps past the anchor while
@@ -690,8 +684,7 @@ inline bool OrecTransaction::commit() {
     // walks the granule-sorted write set, so aliased granules of one orec
     // all land before that orec's single publish.
     // Chaos harness: a committer parked here is decided but has applied
-    // nothing -- and the orec engine has no helpers, so waiters must
-    // tolerate or abort around it.
+    // nothing; waiters must tolerate or abort around it.
     (void)CHRONOSTM_FAILPOINT(orec_commit_pre_writeback);
 
     std::atomic_thread_fence(std::memory_order_release);
@@ -708,24 +701,16 @@ inline bool OrecTransaction::commit() {
     }
     // Chaos harness: data applied, orec locks still held.
     (void)CHRONOSTM_FAILPOINT(orec_commit_pre_unlock);
-    if (cfg_.batched_writeback) {
-        // Batched version publish: one release fence for the whole write
-        // set, then relaxed stores -- each orec published exactly once
-        // (owner records). Readers' acquire loads of the orec synchronize
-        // with the fence ([atomics.fences]), so data stays visible before
-        // the version that admits it. kFencedPublishOrder upgrades the
-        // stores to release under TSan, which cannot model thread fences.
-        std::atomic_thread_fence(std::memory_order_release);
-        for (const auto& rec : ws)
-            if (rec.owner)
-                rec.orec->store(new_ts << 1, kFencedPublishOrder);
-    } else {
-        // Pre-batching publish sequence (per-orec release stores), kept
-        // selectable so the bench can pin batched against unbatched.
-        for (const auto& rec : ws)
-            if (rec.owner)
-                rec.orec->store(new_ts << 1, std::memory_order_release);
-    }
+    // Batched version publish: one release fence for the whole write set,
+    // then relaxed stores -- each orec published exactly once (owner
+    // records). Readers' acquire loads of the orec synchronize with the
+    // fence ([atomics.fences]), so data stays visible before the version
+    // that admits it. kFencedPublishOrder upgrades the stores to release
+    // under TSan, which cannot model thread fences.
+    std::atomic_thread_fence(std::memory_order_release);
+    for (const auto& rec : ws)
+        if (rec.owner)
+            rec.orec->store(new_ts << 1, kFencedPublishOrder);
     return true;
 }
 

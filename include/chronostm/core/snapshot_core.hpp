@@ -84,11 +84,9 @@ class TxStats {
     std::uint64_t commits() const { return commits_; }
     std::uint64_t aborts() const { return aborts_; }
 
-    // Helping counter (LSA-RT), public so drivers can sum it directly.
-    // helped_commits counts help EVENTS -- calls in which a thread applied
-    // at least one write record of a foreign decided commit -- not
-    // distinct commits: several helpers splitting one large write set each
-    // count one event. Always 0 for the orec engine, which has no helping.
+    // Always 0 in engine stats: neither engine helps a foreign commit
+    // finish. Kept, with the constructors' helped_c argument, so existing
+    // readers compile.
     std::uint64_t helped_commits = 0;
 
     // Orec-table aliasing events (core/orec_stm.hpp): number of times a
@@ -191,14 +189,13 @@ struct AbortTx {
 };
 
 // Per-context statistics, one block per thread context. Each block has a
-// single writer (its owning context; helpers count into their OWN block),
-// so an increment is a relaxed load plus store -- no lock-prefixed RMW --
-// and readers on other threads see a recent, untorn value. Padded to its
-// own cache lines: contexts' blocks are allocated back to back.
+// single writer (its owning context), so an increment is a relaxed load
+// plus store -- no lock-prefixed RMW -- and readers on other threads see a
+// recent, untorn value. Padded to its own cache lines: contexts' blocks
+// are allocated back to back.
 struct alignas(64) StatsBlock {
     std::atomic<std::uint64_t> commits{0};
     std::atomic<std::uint64_t> aborts{0};
-    std::atomic<std::uint64_t> helped_commits{0};
     std::atomic<std::uint64_t> false_conflicts{0};
     std::atomic<std::uint64_t> extensions{0};
     std::atomic<std::uint64_t> extension_fast_hits{0};
@@ -230,7 +227,6 @@ inline void accumulate(TxStats& s, const StatsBlock& b) {
     };
     s.commits_ += get(b.commits);
     s.aborts_ += get(b.aborts);
-    s.helped_commits += get(b.helped_commits);
     s.false_conflicts += get(b.false_conflicts);
     s.extensions += get(b.extensions);
     s.extension_fast_hits += get(b.extension_fast_hits);
@@ -728,6 +724,7 @@ class SnapshotTx {
         sets_->reset();
         CHRONOSTM_FP_SINK(&stats_->injected_faults);
         upper_ = clk_.get_time();
+        start_ts_ = upper_;
     }
     SnapshotTx(SnapshotTx&&) = default;
     ~SnapshotTx() = default;
@@ -1056,6 +1053,11 @@ class SnapshotTx {
     bool irrevocable_ = false;
     std::uint64_t lower_ = 0;
     std::uint64_t upper_ = 0;
+    // Seniority: the begin stamp of the first attempt of the enclosing
+    // run() call (run() carries it over to every retry), so an aborted
+    // old transaction does not retry as the youngest. The LSA timestamp
+    // manager ranks conflicting transactions by it.
+    std::uint64_t start_ts_ = 0;
     bool writes_sorted_ = false;
     // Set by commit() when it failed only because the drawn stamp lagged
     // the snapshot (lower_ > commit_ts); run() treats that retry as a
@@ -1089,11 +1091,16 @@ class SnapshotContext {
         // token; the normal commit path releases it in txn_commit first.
         TokenGuard token_guard{gate_, &token_held_};
         std::uint64_t conflict_aborts = 0, freshness_aborts = 0;
+        std::uint64_t start_ts = 0;
         for (unsigned attempt = 0;; ++attempt) {
             bool freshness = false;
             maybe_escalate(attempt);
             try {
                 Tx tx = self().txn_begin();
+                if (attempt == 0)
+                    start_ts = tx.start_ts_;
+                else
+                    tx.start_ts_ = start_ts;
                 if constexpr (std::is_void_v<R>) {
                     f(tx);
                     if (txn_commit(tx)) return;

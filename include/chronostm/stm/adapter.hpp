@@ -29,17 +29,15 @@
 //                         runtime-pluggable time-base facade: pass a
 //                         wrapped object or a registry handle from
 //                         tb::make("batched:B=16")), with multi-version
-//                         history, commit helping, pluggable contention
-//                         managers, and the commit-epoch validation
-//                         filter (StmConfig::epoch_filter).
+//                         history, pluggable contention managers, and
+//                         the commit-epoch validation filter
+//                         (StmConfig::epoch_filter).
 //   * OrecAdapter      -- LSA over a global orec table (core/orec_stm.hpp):
 //                         raw-memory words hashed to versioned locks by
 //                         (addr >> 4) & mask, same time-base facade,
 //                         snapshot extension, and commit-epoch filter
-//                         (OrecConfig::epoch_filter), single-version, no
-//                         helping, commit-time write-back batching
-//                         (OrecConfig::batched_writeback). Var<T> is the
-//                         metadata-free WordVar<T>.
+//                         (OrecConfig::epoch_filter), single-version.
+//                         Var<T> is the metadata-free WordVar<T>.
 //   * Tl2Adapter       -- single-version, global-version-clock TL2.
 //   * VstmAdapter      -- validation-based STM, +- commit-counter
 //                         heuristic (VstmConfig).

@@ -16,8 +16,8 @@
 // lowercased keys, later key wins, unknown names/keys throw loudly.
 // Common knobs (stm::CommonConfig) parse uniformly across engines --
 // spin=, retries=, irrev=, filter=, ext=, stallspin=, stallts= -- plus
-// each engine's private keys (orec: bits=, writeback=; lsa: versions=,
-// cm=, help=; vstm: heuristic=).
+// each engine's private keys (orec: bits=; lsa: versions=, cm=;
+// vstm: heuristic=).
 //
 // The data plane is a SLOT, not a Var<T>: each engine stores a
 // transactional 64-bit word differently (LSA: a compact heap-history
@@ -478,8 +478,8 @@ struct KnownEngine {
 inline const std::vector<KnownEngine>& known_engines() {
     static const std::vector<KnownEngine> k = {
         {"lsa", "lsa:versions=8,cm=polite,irrev=64",
-         "the paper's LSA-RT: multi-version, commit helping, pluggable CM"},
-        {"orec", "orec:bits=16,writeback=batched,irrev=64",
+         "the paper's LSA-RT: multi-version, pluggable CM"},
+        {"orec", "orec:bits=16,irrev=64",
          "LSA over a global orec table; raw-memory words, single-version"},
         {"tl2", "tl2:spin=256", "global-version-clock TL2 baseline"},
         {"vstm", "vstm:heuristic=on",
@@ -503,18 +503,14 @@ inline std::string engine_spec_help() {
 
 namespace detail_facade {
 
-inline bool parse_onoff(const std::string& raw, const std::string& key,
-                        const std::string& engine) {
+inline bool flag(const tb::TimeBaseSpec& s, const char* key, bool def) {
+    if (!s.has(key)) return def;
+    const std::string raw = s.str(key, "");
     const std::string v = tb::to_lower(raw);
     if (v == "on" || v == "true" || v == "1" || v == "yes") return true;
     if (v == "off" || v == "false" || v == "0" || v == "no") return false;
-    throw std::invalid_argument("chronostm: engine '" + engine + "' key '" +
+    throw std::invalid_argument("chronostm: engine '" + s.name + "' key '" +
                                 key + "' wants on/off, got '" + raw + "'");
-}
-
-inline bool flag(const tb::TimeBaseSpec& s, const char* key, bool def) {
-    if (!s.has(key)) return def;
-    return parse_onoff(s.str(key, ""), key, s.name);
 }
 
 inline void apply_common(const tb::TimeBaseSpec& s, CommonConfig& c) {
@@ -566,35 +562,23 @@ inline Engine make(const std::string& spec_str, tb::TimeBase tbase) {
     const tb::TimeBaseSpec spec = parse_engine_spec(spec_str);
 
     if (spec.name == "lsa") {
-        detail_facade::require_engine_keys(spec, {"versions", "cm", "help"});
+        detail_facade::require_engine_keys(spec, {"versions", "cm"});
         StmConfig cfg;
         detail_facade::apply_common(spec, cfg);
         cfg.max_versions = static_cast<unsigned>(
             spec.u64("versions", cfg.max_versions));
         cfg.contention_manager = tb::to_lower(
             spec.str("cm", cfg.contention_manager));
-        cfg.help_committers =
-            detail_facade::flag(spec, "help", cfg.help_committers);
         return Engine::make_owning(
             EngineKind::kLsa, "lsa", spec_str,
             std::make_shared<LsaAdapter>(std::move(tbase), std::move(cfg)));
     }
     if (spec.name == "orec") {
-        detail_facade::require_engine_keys(spec, {"bits", "writeback"});
+        detail_facade::require_engine_keys(spec, {"bits"});
         OrecConfig cfg;
         detail_facade::apply_common(spec, cfg);
         cfg.table_bits =
             static_cast<unsigned>(spec.u64("bits", cfg.table_bits));
-        if (spec.has("writeback")) {
-            const std::string wb = tb::to_lower(spec.str("writeback", ""));
-            if (wb == "batched")
-                cfg.batched_writeback = true;
-            else if (wb == "eager")
-                cfg.batched_writeback = false;
-            else
-                cfg.batched_writeback = detail_facade::parse_onoff(
-                    wb, "writeback", spec.name);
-        }
         return Engine::make_owning(
             EngineKind::kOrec, "orec", spec_str,
             std::make_shared<OrecAdapter>(std::move(tbase), cfg));

@@ -41,7 +41,7 @@ CAS on the global clock, which is the whole point of the comparison).
 Rows without a counterpart in the run are skipped, not failed -- the
 cross-run MISSING check still protects against silently dropping them.
 
-Three commit-epoch-filter gates (PR 7) also run SAME-RUN on the micro_stm
+Two commit-epoch-filter gates also run SAME-RUN on the micro_stm
 blob. --epoch-gate pairs every BM_<X>_NoFilter row with its filter-on twin
 BM_<X> (strip "_NoFilter") and requires the filter to speed the R=8192
 extension rows up by at least the given factor (default 2.0): the filter
@@ -51,12 +51,8 @@ not gated (the walk is too cheap there for a robust ratio). --ro-margin
 requires BM_ReadOnly_Commit_<E> at or below its BM_Update_Commit_<E> twin
 (default 1.0): a read-only commit draws no stamp and takes no locks, so
 it must not cost more than the single-var update that does.
---writeback-gate bounds BM_Orec_Update_Counter/100 against
-BM_Orec_Update_NoBatch/100 (default 1.05): batched write-back (one fence
-for the whole write set) must not lose more than noise to the per-orec
-release-store publish it replaced.
 
-A fourth same-run gate covers the striped filter (PR 10). --stripe-gate
+Another same-run gate covers the striped filter. --stripe-gate
 pairs every BM_<X>_Stripe1 row with its striped twin BM_<X> (strip
 "_Stripe1") and requires the 64-stripe configuration to speed the R=8192
 disjoint-writer extension rows up by at least the given factor (default
@@ -198,12 +194,6 @@ def main():
                          "ratio of BM_Update_Commit_<E> in the SAME run "
                          "(default: 1.0 -- a read-only commit draws no "
                          "stamp, so it must not cost more than an update)")
-    ap.add_argument("--writeback-gate", type=float, default=1.05,
-                    help="fail when BM_Orec_Update_Counter/100 exceeds "
-                         "this ratio of BM_Orec_Update_NoBatch/100 in the "
-                         "SAME run (default: 1.05 -- batched write-back "
-                         "must not lose more than noise to the per-orec "
-                         "publish it replaced)")
     ap.add_argument("--failpoints-blob", default=None,
                     help="micro_stm --json blob from a CHRONOSTM_FAILPOINTS "
                          "build (same host, same CI run). Pairs every "
@@ -468,33 +458,6 @@ def main():
                 regressions += 1
             compared += 1
             print(f"  {name:<44} {upd:>10.2f} {ro:>10.2f} "
-                  f"{ratio:>6.2f}x  {verdict}")
-
-        # Write-back batching gate: batched publish vs the per-orec
-        # release-store twin, same run.
-        wb_pairs = sorted(
-            n for n in cur
-            if n.startswith("BM_Orec_Update_Counter/") and
-            "BM_Orec_Update_NoBatch" +
-            n[len("BM_Orec_Update_Counter"):] in cur)
-        if wb_pairs:
-            print(f"\n{driver} batched vs unbatched write-back "
-                  f"(gate {args.writeback_gate:g}x, same run):")
-            print(f"  {'benchmark':<44} {'nobatch ns':>10} "
-                  f"{'batched ns':>10} {'ratio':>7}")
-        for name in wb_pairs:
-            nobatch = cur["BM_Orec_Update_NoBatch" +
-                          name[len("BM_Orec_Update_Counter"):]]
-            batched = cur[name]
-            if nobatch <= 0:
-                continue
-            ratio = batched / nobatch
-            verdict = ("REGRESSION" if ratio > args.writeback_gate
-                       else "ok")
-            if verdict != "ok":
-                regressions += 1
-            compared += 1
-            print(f"  {name:<44} {nobatch:>10.2f} {batched:>10.2f} "
                   f"{ratio:>6.2f}x  {verdict}")
 
         # Failpoints overhead gate: CROSS-BLOB, same host and CI run. The

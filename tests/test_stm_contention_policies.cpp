@@ -1,8 +1,9 @@
 // Tier-1: every contention manager preserves atomicity and makes
 // progress on a hot-spot transfer workload, kill-based managers included
-// (aggressive/karma/timestamp abort the enemy cooperatively through its
-// commit descriptor). Also checks the policy parser rejects typos at
-// construction instead of misbehaving at runtime.
+// (aggressive/timestamp abort the enemy cooperatively through its commit
+// descriptor). Also checks the policy parser rejects typos at
+// construction instead of misbehaving at runtime, and (with failpoints)
+// that the timestamp manager's seniority survives a retry.
 
 #include <atomic>
 #include <cstdint>
@@ -66,6 +67,10 @@ void check_policy(const char* policy) {
 }
 
 #ifdef CHRONOSTM_FAILPOINTS
+void spin_until(const std::atomic<bool>& flag) {
+    while (!flag.load(std::memory_order_acquire)) std::this_thread::yield();
+}
+
 // Kill-based managers against a PROVABLY stalled victim: a one-shot
 // failpoint parks the victim inside commit with write locks held (status
 // kTxLocking), exactly what a preempted committer looks like. The policy
@@ -76,37 +81,27 @@ void check_stalled_kill(const char* policy) {
     StmConfig cfg;
     cfg.contention_manager = policy;
     LsaStm stm(tb::make("shared"), cfg);
-    constexpr int kSpare = 6;  // uncontended accounts pad attacker karma
+    // Two contended accounts plus one the stamp bump below writes.
     std::vector<std::unique_ptr<TVar<long>>> acct;
-    for (int i = 0; i < 2 + kSpare; ++i)
+    for (int i = 0; i < 3; ++i)
         acct.push_back(std::make_unique<TVar<long>>(kInitial));
 
     std::atomic<bool> attacker_started{false};
     std::atomic<bool> victim_parked{false};
 
     // Attacker first, so the timestamp policy sees the victim as YOUNGER
-    // (kill the younger enemy); its padded footprint outweighs the
-    // victim's 4-access karma; aggressive kills unconditionally.
+    // (kill the younger enemy); aggressive kills unconditionally.
     std::thread attacker([&] {
         auto ctx = stm.make_context();
         ctx.run([&](Tx& tx) {
-            long pad = 0;
-            for (int i = 0; i < kSpare; ++i) {
-                pad += acct[2 + i]->get(tx);
-                acct[2 + i]->set(tx, acct[2 + i]->get(tx));
-            }
-            (void)pad;
-            if (!attacker_started.exchange(true))
-                while (!victim_parked.load(std::memory_order_acquire))
-                    std::this_thread::yield();
-            // First touch of the victim's locked account happens with a
-            // 12-access footprint and the older start stamp.
+            if (!attacker_started.exchange(true)) spin_until(victim_parked);
+            // First touch of the victim's locked account happens with the
+            // older start stamp.
             acct[0]->set(tx, acct[0]->get(tx) - 1);
             acct[1]->set(tx, acct[1]->get(tx) + 1);
         });
     });
-    while (!attacker_started.load(std::memory_order_acquire))
-        std::this_thread::yield();
+    spin_until(attacker_started);
 
     // On the shared counter, time only advances when someone commits: one
     // dummy update here separates the start stamps, so the victim (which
@@ -144,13 +139,89 @@ void check_stalled_kill(const char* policy) {
 
     long total = 0;
     for (const auto& a : acct) total += a->unsafe_peek();
-    CHECK_MSG(total == kInitial * (2 + kSpare), "policy %s: total %ld",
-              policy, total);
+    CHECK_MSG(total == kInitial * 3, "policy %s: total %ld", policy, total);
     const auto stats = stm.collected_stats();
     CHECK(stats.commits() == 3);  // victim + attacker + the stamp bump
     CHECK_MSG(stats.stall_waits >= 1, "policy %s: attacker never flagged "
               "the stall", policy);
     CHECK(stats.injected_faults >= 1);
+}
+
+// Seniority survives an abort: the timestamp manager ranks a retry by the
+// begin stamp of its run() call's first attempt, not by the retry's own.
+// T_old begins, a dummy commit moves the shared counter on, and a one-shot
+// injected abort at T_old's first read sends it into a retry. A younger
+// T_young, begun after the bump, then parks inside commit holding the
+// locks the retry needs. The retry must kill it; ranked by its fresh begin
+// stamp it would tie with T_young and never land a kill.
+void check_seniority_survives_retry() {
+    StmConfig cfg;
+    cfg.contention_manager = "timestamp";
+    LsaStm stm(tb::make("shared"), cfg);
+    std::vector<std::unique_ptr<TVar<long>>> acct;
+    for (int i = 0; i < 3; ++i)
+        acct.push_back(std::make_unique<TVar<long>>(kInitial));
+
+    std::atomic<bool> old_began{false};
+    std::atomic<bool> bumped{false};
+    std::atomic<bool> old_retrying{false};
+    std::atomic<bool> young_parked{false};
+
+    std::thread t_old([&] {
+        auto ctx = stm.make_context();
+        int attempt = 0;
+        ctx.run([&](Tx& tx) {
+            if (++attempt == 1) {
+                old_began.store(true, std::memory_order_release);
+                spin_until(bumped);
+                fp::SiteConfig abort_once;
+                abort_once.abort_ppm = 1'000'000;
+                fp::arm_one_shot(fp::k_lsa_read, abort_once, 1);
+            } else if (attempt == 2) {
+                // The site keeps its abort_ppm after the one-shot fired:
+                // disarm it before any other thread reads.
+                fp::configure(fp::k_lsa_read, fp::SiteConfig{});
+                old_retrying.store(true, std::memory_order_release);
+                spin_until(young_parked);
+            }
+            acct[0]->set(tx, acct[0]->get(tx) - 1);
+            acct[1]->set(tx, acct[1]->get(tx) + 1);
+        });
+    });
+    spin_until(old_began);
+    {
+        auto ctx = stm.make_context();
+        ctx.run([&](Tx& tx) { acct[2]->set(tx, acct[2]->get(tx)); });
+    }
+    bumped.store(true, std::memory_order_release);
+    spin_until(old_retrying);
+
+    const std::uint64_t faults_before = fp::total_faults();
+    fp::SiteConfig stall;
+    stall.stall_us = 20000;  // ~20ms: far beyond every spin budget
+    fp::arm_one_shot(fp::k_lsa_commit_post_lock, stall, 1);
+    std::thread t_young([&] {
+        auto ctx = stm.make_context();
+        ctx.run([&](Tx& tx) {
+            acct[0]->set(tx, acct[0]->get(tx) - 5);
+            acct[1]->set(tx, acct[1]->get(tx) + 5);
+        });
+        CHECK_MSG(ctx.stats().aborts() >= 1, "the retried older "
+                  "transaction never killed the younger lock holder "
+                  "(aborts %llu)",
+                  static_cast<unsigned long long>(ctx.stats().aborts()));
+    });
+    while (fp::total_faults() == faults_before) std::this_thread::yield();
+    young_parked.store(true, std::memory_order_release);
+
+    t_young.join();
+    t_old.join();
+    fp::reset();
+
+    long total = 0;
+    for (const auto& a : acct) total += a->unsafe_peek();
+    CHECK_MSG(total == kInitial * 3, "seniority: total %ld", total);
+    CHECK(stm.collected_stats().commits() == 3);
 }
 #endif  // CHRONOSTM_FAILPOINTS
 
@@ -158,12 +229,13 @@ void check_stalled_kill(const char* policy) {
 
 int main() {
     for (const char* policy :
-         {"suicide", "polite", "backoff", "aggressive", "karma", "timestamp"})
+         {"suicide", "polite", "backoff", "aggressive", "timestamp"})
         check_policy(policy);
 
 #ifdef CHRONOSTM_FAILPOINTS
-    for (const char* policy : {"aggressive", "karma", "timestamp"})
+    for (const char* policy : {"aggressive", "timestamp"})
         check_stalled_kill(policy);
+    check_seniority_survives_retry();
 #endif
 
     bool threw = false;

@@ -66,14 +66,18 @@ void check_registry_grammar() {
     expect_invalid([] { stm::make("glock:bits=4"); }, "unknown key");
     expect_invalid([] { stm::make("vstm:heuristic=maybe"); }, "on/off");
     expect_invalid([] { stm::make("lsa:versions"); }, "key=value");
+    // Removed knobs fail like any other unknown key or policy.
+    expect_invalid([] { stm::make("lsa:help=on"); }, "unknown key");
+    expect_invalid([] { stm::make("orec:writeback=eager"); }, "unknown key");
+    expect_invalid([] { stm::make("lsa:cm=karma"); }, "karma");
 
     // Comma-separated lists: a comma followed by key=value extends the
     // preceding spec, otherwise it starts a new one.
     const auto specs =
-        stm::split_engine_specs("lsa,orec:bits=10,writeback=eager,glock");
+        stm::split_engine_specs("lsa,orec:bits=10,irrev=8,glock");
     CHECK(specs.size() == 3);
     CHECK(specs[0] == "lsa");
-    CHECK(specs[1] == "orec:bits=10,writeback=eager");
+    CHECK(specs[1] == "orec:bits=10,irrev=8");
     CHECK(specs[2] == "glock");
     CHECK(stm::parse_engine_spec(specs[1]).name == "orec");
 
@@ -86,29 +90,23 @@ void check_config_plumbing() {
     // Engine-specific keys land in the concrete config (get_if hatch).
     {
         stm::Engine e =
-            stm::make("lsa:versions=4,cm=Karma,help=off,irrev=32,filter=off");
+            stm::make("lsa:versions=4,cm=Timestamp,irrev=32,filter=off");
         auto* a = stm::get_if<stm::LsaAdapter>(e);
         CHECK(a != nullptr);
         CHECK(stm::get_if<stm::OrecAdapter>(e) == nullptr);
         const StmConfig& c = a->stm().config();
         CHECK(c.max_versions == 4);
-        CHECK(c.contention_manager == "karma");
-        CHECK(!c.help_committers);
+        CHECK(c.contention_manager == "timestamp");
         CHECK(c.irrevocable_threshold == 32);
         CHECK(!c.epoch_filter);
     }
     // Later occurrences of a key override earlier ones (drivers append
     // sweep keys to user specs and rely on this).
     {
-        stm::Engine e = stm::make("orec:bits=10,bits=12,writeback=eager");
+        stm::Engine e = stm::make("orec:bits=10,bits=12");
         auto* a = stm::get_if<stm::OrecAdapter>(e);
         CHECK(a != nullptr);
         CHECK(a->stm().config().table_bits == 12);
-        CHECK(!a->stm().config().batched_writeback);
-        CHECK(stm::get_if<stm::OrecAdapter>(stm::make("orec:writeback=batched"))
-                  ->stm()
-                  .config()
-                  .batched_writeback);
     }
     // The CommonConfig keys parse on EVERY engine, including ones that
     // ignore most of them (a shared sweep flag must not explode on the
