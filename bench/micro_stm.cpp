@@ -18,8 +18,8 @@
 //  * BM_Orec_Update_Batched8 vs BM_Tl2_Update: orec LSA on the batched
 //    scalable counter must beat the global-clock TL2 baseline on the
 //    100-write row (what snapshot extension + a scalable base buy).
-//  * BM_Update_Wide_Counter keeps the >8-byte TVar path (lazy heap
-//    history ring) measured next to the word-sized TVars' embedded ring.
+//  * BM_Update_Wide_Counter keeps a two-word payload (16-byte value and
+//    history-entry accesses) measured next to the word-sized TVars.
 
 #include <benchmark/benchmark.h>
 
@@ -238,17 +238,17 @@ void bm_extend_orec(benchmark::State& state, const std::string& spec,
 // fast-hit too, collapsing the ratio. Both rows pay the identical writer
 // commit, so the delta isolates the extension cost.
 //
-// Reader vars live in one contiguous arena of heap-history slots
-// (TVar<long, false>, three words each) so the R=8192 footprint spans a
-// handful of 16KiB range stripes instead of the whole heap; the writer
-// var is probed into a stripe outside the reader's signature (verified
-// via filter_stripe_of, not assumed from the arithmetic).
+// Reader vars live in one contiguous arena of slots (TVar<long>, three
+// words each) so the R=8192 footprint spans a handful of 16KiB range
+// stripes instead of the whole heap; the writer var is probed into a
+// stripe outside the reader's signature (verified via filter_stripe_of,
+// not assumed from the arithmetic).
 
 constexpr std::size_t kStripeBlock = 16 * 1024;
 
 void bm_extend_lsa_disjoint(benchmark::State& state, unsigned stripes) {
     const auto reads = static_cast<std::size_t>(state.range(0));
-    using Slot = TVar<long, false>;
+    using Slot = TVar<long>;
     StmConfig cfg;
     cfg.filter_stripes = stripes;
     LsaStm stm(tb::make("shared"), cfg);
@@ -377,8 +377,8 @@ void bm_update_commit_orec(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 
-// Wider-than-a-word TVar: exercises the lazy heap history ring that
-// word-sized TVars no longer use (their ring is embedded in the var).
+// Wider-than-a-word TVar: same layout as TVar<long>, but every value and
+// history-entry access is a 16-byte atomic.
 struct Wide {
     long a;
     long b;

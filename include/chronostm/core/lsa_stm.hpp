@@ -20,11 +20,9 @@
 //  * Each TVar keeps a bounded history of old versions with validity
 //    ranges [from, until), so long read-only transactions can read a
 //    consistent-but-old snapshot instead of aborting (multi-version LSA;
-//    depth is StmConfig::max_versions). Word-sized T embeds the ring in
-//    the TVar (no heap allocation, no pointer chase on commit); wider T
-//    heap-allocates it lazily on the first committed write that keeps
-//    history, so those TVars stay a few words wide in TL2-like
-//    max_versions=1 configurations (detail::HistoryHolder).
+//    depth is StmConfig::max_versions). The ring is one heap block sized
+//    to what it can keep, allocated at the var's first commit that keeps
+//    history (detail::VersionRing); the TVar holds only its pointer.
 //  * A transaction maintains a snapshot interval [lower, upper]. Reads pick
 //    the most recent version valid at `upper`; when the current version is
 //    too new the snapshot is lazily extended to the present (validating the
@@ -67,7 +65,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -260,13 +257,6 @@ struct alignas(64) TxDesc {
 class Transaction;
 class ThreadContext;
 class LsaStm;
-// InlineHist picks where the multi-version history ring lives (see
-// detail::HistoryHolder): the default embeds the full-depth ring in the
-// var for word-sized T. The engine facade's slot cells override it to
-// false -- a 24-byte var with a lazily heap-allocated ring -- so node-based
-// structures can afford one var per field.
-template <typename T, bool InlineHist = (sizeof(T) <= 8 && alignof(T) <= 8)>
-class TVar;
 
 namespace detail {
 
@@ -288,71 +278,73 @@ class TVarBase {
     std::atomic<std::uint64_t> vlock_{0};
 };
 
-// Old versions live in a ring written only while the lock bit is held;
-// readers snapshot entries and recheck vlock_ to detect slot reuse.
+// A TVar's old versions: one heap block, this header followed by `cap`
+// entries, allocated at the var's first commit that keeps history with
+// cap = min(max_versions - 1, kMaxHistory) and never resized. Written only
+// under the var's lock bit; readers snapshot an entry and recheck vlock_
+// to detect reuse (Transaction::read_old_version). Entries are plain
+// storage accessed through __atomic builtins, so none is touched -- not
+// even zero-filled -- before a commit writes it.
 template <typename T>
-struct VersionHistory {
-    struct OldVersion {
-        std::atomic<T> value{};
-        std::atomic<std::uint64_t> from{0};
-        std::atomic<std::uint64_t> until{0};
+struct alignas(std::max(alignof(std::atomic<T>), alignof(std::uint64_t)))
+    VersionRing {
+    struct Entry {
+        alignas(std::atomic<T>) T value;
+        std::uint64_t from;   // validity range [from, until)
+        std::uint64_t until;
     };
-    // Control words first: for word-sized TVars the ring is embedded in
-    // the var itself, and this keeps the commit-touched head/size on the
-    // TVar's first cache line next to vlock_ and value_.
-    std::atomic<unsigned> head{0};
-    std::atomic<unsigned> size{0};
-    std::array<OldVersion, kMaxHistory> slots{};
-};
+    // Plain operator new unless T needs more alignment, so a program that
+    // replaces only the plain form (to count heap traffic) sees rings too.
+    static constexpr bool kOverAligned =
+        alignof(VersionRing) > __STDCPP_DEFAULT_NEW_ALIGNMENT__;
 
-// Where a TVar's history ring lives. Word-sized T (<= 8 bytes) embeds the
-// full-depth ring in the TVar itself: no heap allocation ever, and no
-// pointer chase on commit_write or old-version reads. The embedded ring
-// adds cold cache lines of footprint per var, but they are touched only by
-// history machinery -- plain reads and single-version commits stay on the
-// first line, where head/size sit next to vlock_/value_. Wider T keeps the
-// PR 3 shape: one lazy heap allocation on the first committed write that
-// keeps history, so single-version configurations stay a few words wide.
-template <typename T, bool Inline = (sizeof(T) <= 8 && alignof(T) <= 8)>
-struct HistoryHolder {
-    VersionHistory<T>* hist_for_write() { return &h_; }
-    const VersionHistory<T>* hist_for_read() const { return &h_; }
-    void clear_history() { h_.size.store(0, std::memory_order_release); }
-    VersionHistory<T> h_{};
-};
+    std::atomic<unsigned> head;  // newest entry
+    std::atomic<unsigned> size;  // entries readers may visit, <= cap
+    const unsigned cap;
 
-template <typename T>
-struct HistoryHolder<T, false> {
-    HistoryHolder() = default;
-    ~HistoryHolder() { delete h_.load(std::memory_order_acquire); }
-    HistoryHolder(const HistoryHolder&) = delete;
-    HistoryHolder& operator=(const HistoryHolder&) = delete;
+    static VersionRing* create(unsigned cap) {
+        const std::size_t n = sizeof(VersionRing) + cap * sizeof(Entry);
+        void* const mem =
+            kOverAligned
+                ? ::operator new(n, std::align_val_t{alignof(VersionRing)})
+                : ::operator new(n);
+        return new (mem) VersionRing{{cap - 1}, {0}, cap};
+    }
+    static void destroy(VersionRing* r) noexcept {
+        if constexpr (kOverAligned)
+            ::operator delete(r, std::align_val_t{alignof(VersionRing)});
+        else
+            ::operator delete(r);
+    }
 
-    // Called with the owning TVar's lock bit held by the committing owner,
-    // so the one-time allocation races nobody.
-    VersionHistory<T>* hist_for_write() {
-        auto* h = h_.load(std::memory_order_relaxed);
-        if (h == nullptr) {
-            h = new VersionHistory<T>;
-            h_.store(h, std::memory_order_release);
-        }
-        return h;
+    Entry& at(unsigned i) { return reinterpret_cast<Entry*>(this + 1)[i]; }
+    const Entry& at(unsigned i) const {
+        return reinterpret_cast<const Entry*>(this + 1)[i];
     }
-    const VersionHistory<T>* hist_for_read() const {
-        return h_.load(std::memory_order_acquire);
+
+    // Owner-only (lock bit held): record the replaced version over the
+    // oldest one; head/size are published after the entry.
+    void push(T v, std::uint64_t from, std::uint64_t until) {
+        const unsigned h = head.load(std::memory_order_relaxed);
+        const unsigned next = h + 1 == cap ? 0 : h + 1;
+        Entry& e = at(next);
+        __atomic_store(&e.value, &v, __ATOMIC_RELAXED);
+        __atomic_store_n(&e.from, from, __ATOMIC_RELAXED);
+        __atomic_store_n(&e.until, until, __ATOMIC_RELAXED);
+        head.store(next, std::memory_order_release);
+        const unsigned sz = size.load(std::memory_order_relaxed);
+        size.store(std::min(sz + 1, cap), std::memory_order_release);
     }
-    void clear_history() {
-        auto* h = h_.load(std::memory_order_relaxed);
-        if (h != nullptr) h->size.store(0, std::memory_order_release);
-    }
-    std::atomic<VersionHistory<T>*> h_{nullptr};
 };
 
 }  // namespace detail
 
 using TVarBase = detail::TVarBase;
 
-template <typename T, bool InlineHist>
+// Every TVar<T> is {lock word, value, history-ring pointer}: three words
+// for word-sized T, the ring nullptr until the first commit that keeps
+// history (never, under max_versions = 1).
+template <typename T>
 class TVar : public TVarBase {
     static_assert(std::is_trivially_copyable_v<T>,
                   "TVar<T> requires a trivially copyable T: values are read "
@@ -360,6 +352,10 @@ class TVar : public TVarBase {
 
  public:
     explicit TVar(T initial) : value_(initial) {}
+    ~TVar() {
+        if (auto* r = hist_.load(std::memory_order_acquire))
+            detail::VersionRing<T>::destroy(r);
+    }
 
     // Defined after Transaction (which they call into).
     T get(Transaction& tx);
@@ -372,41 +368,34 @@ class TVar : public TVarBase {
  private:
     friend class Transaction;
 
-    using History = detail::VersionHistory<T>;
+    using Ring = detail::VersionRing<T>;
 
-    // Called with the lock bit held by the committing owner. `old_ts` is
-    // the version being replaced (the lock word no longer carries it:
-    // locked words hold the descriptor pointer). Stores only the data. The
-    // caller's release fence before the write-back keeps every lock store
-    // visible before these stores, so a reader that observes new data and
-    // then rechecks the lock word sees the lock or the final version (the
-    // other half of the seqlock lives in Transaction::read /
-    // read_old_version). The caller publishes the version words after a
-    // second fence.
+    // Called with the lock bit held by the committing owner, so the
+    // one-time ring allocation races nobody. `old_ts` is the version being
+    // replaced (the lock word no longer carries it: locked words hold the
+    // descriptor pointer). Stores only the data. The caller's release
+    // fence before the write-back keeps every lock store visible before
+    // these stores, so a reader that observes new data and then rechecks
+    // the lock word sees the lock or the final version (the other half of
+    // the seqlock lives in Transaction::read / read_old_version). The
+    // caller publishes the version words after a second fence.
     void commit_write(const T& v, std::uint64_t new_ts, std::uint64_t old_ts,
                       unsigned keep_old) {
+        Ring* r = hist_.load(std::memory_order_relaxed);
         if (keep_old > 0) {
-            History* h = hist_.hist_for_write();
-            const unsigned head =
-                (h->head.load(std::memory_order_relaxed) + 1) %
-                detail::kMaxHistory;
-            auto& slot = h->slots[head];
-            slot.value.store(value_.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-            slot.from.store(old_ts, std::memory_order_relaxed);
-            slot.until.store(new_ts, std::memory_order_relaxed);
-            h->head.store(head, std::memory_order_release);
-            const unsigned cap = std::min(keep_old, detail::kMaxHistory);
-            const unsigned sz = h->size.load(std::memory_order_relaxed);
-            h->size.store(std::min(sz + 1, cap), std::memory_order_release);
-        } else {
-            hist_.clear_history();
+            if (r == nullptr) {
+                r = Ring::create(keep_old);
+                hist_.store(r, std::memory_order_release);
+            }
+            r->push(value_.load(std::memory_order_relaxed), old_ts, new_ts);
+        } else if (r != nullptr) {
+            r->size.store(0, std::memory_order_release);
         }
         value_.store(v, std::memory_order_relaxed);
     }
 
     std::atomic<T> value_;
-    detail::HistoryHolder<T, InlineHist> hist_;
+    std::atomic<Ring*> hist_{nullptr};
 };
 
 class Transaction
@@ -418,17 +407,17 @@ class Transaction
     friend class ThreadContext;
     template <typename, typename, typename, typename>
     friend class detail::SnapshotContext;
-    template <typename T2, bool H2>
+    template <typename>
     friend class chronostm::TVar;
 
-    template <typename T, bool H>
+    template <typename T>
     struct WriteRec : detail::CommitRec {
         T value;
         static void do_apply(detail::CommitRec* rec,
                              std::uint64_t new_ts, std::uint64_t old_ts,
                              unsigned keep_old) {
             auto* self = static_cast<WriteRec*>(rec);
-            static_cast<TVar<T, H>*>(self->var)->commit_write(
+            static_cast<TVar<T>*>(self->var)->commit_write(
                 self->value, new_ts, old_ts, keep_old);
         }
     };
@@ -522,10 +511,10 @@ class Transaction
         }
     }
 
-    template <typename T, bool H>
-    T read(TVar<T, H>& var) {
+    template <typename T>
+    T read(TVar<T>& var) {
         if (auto* rec = find_write(&var))
-            return static_cast<WriteRec<T, H>*>(rec)->value;
+            return static_cast<WriteRec<T>*>(rec)->value;
 
         // Chaos harness: an armed lsa_read site may delay here or demand an
         // injected abort; the token holder never honors the abort half.
@@ -614,21 +603,21 @@ class Transaction
         }
     }
 
-    template <typename T, bool H>
-    void write(TVar<T, H>& var, T v) {
+    template <typename T>
+    void write(TVar<T>& var, T v) {
         if (auto* rec = find_write(&var)) {
             // Write-after-write: overwrite in place, the set stays minimal.
-            static_cast<WriteRec<T, H>*>(rec)->value = std::move(v);
+            static_cast<WriteRec<T>*>(rec)->value = std::move(v);
             return;
         }
-        static_assert(std::is_trivially_destructible_v<WriteRec<T, H>>,
+        static_assert(std::is_trivially_destructible_v<WriteRec<T>>,
                       "write records must be trivially destructible: the "
                       "arena reclaims them without running destructors");
-        void* mem = sets_->arena.allocate(sizeof(WriteRec<T, H>),
-                                          alignof(WriteRec<T, H>));
-        auto* rec = new (mem) WriteRec<T, H>;
+        void* mem = sets_->arena.allocate(sizeof(WriteRec<T>),
+                                          alignof(WriteRec<T>));
+        auto* rec = new (mem) WriteRec<T>;
         rec->var = &var;
-        rec->apply = &WriteRec<T, H>::do_apply;
+        rec->apply = &WriteRec<T>::do_apply;
         rec->value = std::move(v);
         append_write(static_cast<detail::CommitRec*>(rec));
     }
@@ -655,21 +644,20 @@ class Transaction
 
     // Search the version history of `var` for a version covering the
     // snapshot; `w1` is the unlocked lock word the caller just observed.
-    template <typename T, bool H>
-    bool read_old_version(TVar<T, H>& var, std::uint64_t w1, T& out) {
-        const auto* h = var.hist_.hist_for_read();
-        if (h == nullptr) return false;  // never kept history
-        const unsigned n = h->size.load(std::memory_order_acquire);
-        const unsigned head = h->head.load(std::memory_order_acquire);
+    template <typename T>
+    bool read_old_version(TVar<T>& var, std::uint64_t w1, T& out) {
+        const auto* r = var.hist_.load(std::memory_order_acquire);
+        if (r == nullptr) return false;  // never kept history
+        const unsigned n = r->size.load(std::memory_order_acquire);
+        const unsigned head = r->head.load(std::memory_order_acquire);
         for (unsigned k = 0; k < n; ++k) {
-            const auto& slot =
-                h->slots[(head + detail::kMaxHistory - k) %
-                         detail::kMaxHistory];
+            const auto& e = r->at((head + r->cap - k) % r->cap);
             const std::uint64_t from =
-                slot.from.load(std::memory_order_acquire);
+                __atomic_load_n(&e.from, __ATOMIC_ACQUIRE);
             const std::uint64_t until =
-                slot.until.load(std::memory_order_acquire);
-            const T v = slot.value.load(std::memory_order_acquire);
+                __atomic_load_n(&e.until, __ATOMIC_ACQUIRE);
+            T v{};
+            __atomic_load(&e.value, &v, __ATOMIC_ACQUIRE);
             std::atomic_thread_fence(std::memory_order_acquire);  // seqlock
             if (var.vlock_.load(std::memory_order_acquire) != w1)
                 return false;  // history mutated under us; caller re-reads
@@ -685,6 +673,7 @@ class Transaction
             upper_ = std::min(upper_, hi);
             upper_cap_ = std::min(upper_cap_, hi);
             read_old_ = true;
+            detail::bump(stats_->history_reads);
             out = v;
             return true;
         }
@@ -877,12 +866,12 @@ class Transaction
     bool read_old_ = false;
 };
 
-template <typename T, bool InlineHist>
-inline T TVar<T, InlineHist>::get(Transaction& tx) {
+template <typename T>
+inline T TVar<T>::get(Transaction& tx) {
     return tx.read(*this);
 }
-template <typename T, bool InlineHist>
-inline void TVar<T, InlineHist>::set(Transaction& tx, T v) {
+template <typename T>
+inline void TVar<T>::set(Transaction& tx, T v) {
     tx.write(*this, std::move(v));
 }
 

@@ -118,6 +118,11 @@ class TxStats {
     // drawing a stamp, taking a lock, or bumping the commit epoch.
     std::uint64_t ro_commits = 0;
 
+    // Reads the LSA engine served from a var's version history
+    // (read_old_version) because the current version was too new for the
+    // snapshot. Always 0 for the orec engine, which keeps no history.
+    std::uint64_t history_reads = 0;
+
     // Total time spent in inter-attempt backoff (util/pause.hpp), rounded
     // down to microseconds from an internal nanosecond accumulator.
     std::uint64_t backoff_us = 0;
@@ -202,6 +207,7 @@ struct alignas(64) StatsBlock {
     std::atomic<std::uint64_t> validation_fast_hits{0};
     std::atomic<std::uint64_t> stripe_walks{0};
     std::atomic<std::uint64_t> ro_commits{0};
+    std::atomic<std::uint64_t> history_reads{0};
     // Nanoseconds internally; TxStats surfaces microseconds.
     std::atomic<std::uint64_t> backoff_ns{0};
     std::atomic<std::uint64_t> irrevocable_commits{0};
@@ -235,6 +241,7 @@ inline void accumulate(TxStats& s, const StatsBlock& b) {
         get(b.extension_fast_hits) + get(b.validation_fast_hits);
     s.stripe_walks += get(b.stripe_walks);
     s.ro_commits += get(b.ro_commits);
+    s.history_reads += get(b.history_reads);
     s.backoff_us += get(b.backoff_ns) / 1000;
     s.irrevocable_commits += get(b.irrevocable_commits);
     s.escalations += get(b.escalations);

@@ -20,14 +20,15 @@
 // vstm: heuristic=).
 //
 // The data plane is a SLOT, not a Var<T>: each engine stores a
-// transactional 64-bit word differently (LSA: a compact heap-history
-// TVar<u64, false>; orec: a bare word its global orec table hashes;
-// TL2/VSTM: a versioned-lock wstm::Var<u64>; glock: a bare word), so the
-// engine reports slot_size()/slot_align() and containers lay raw nodes
-// out at runtime: [node header | slot | slot ...]. Dispatch is a switch
-// on the kind tag -- no virtual calls, the same branch-ladder shape whose
-// time-base twin measured low-single-digit percent; the datastructure
-// driver gates the engine facade at <= 15% vs the DirectPolicy twin.
+// transactional 64-bit word differently (LSA: a three-word TVar<u64>
+// whose history ring is a lazy heap block; orec: a bare word its global
+// orec table hashes; TL2/VSTM: a versioned-lock wstm::Var<u64>; glock: a
+// bare word), so the engine reports slot_size()/slot_align() and
+// containers lay raw nodes out at runtime: [node header | slot | slot
+// ...]. Dispatch is a switch on the kind tag -- no virtual calls, the same
+// branch-ladder shape whose time-base twin measured low-single-digit
+// percent; the datastructure driver gates the engine facade at <= 15%
+// vs the DirectPolicy twin.
 //
 // Escape hatches mirror the time-base facade: get_if<LsaAdapter>(eng) for
 // telemetry that needs the concrete type, and stm::visit(eng, f) to hand
@@ -59,11 +60,10 @@ enum class EngineKind : unsigned {
     kGlock,
 };
 
-// The LSA slot: heap-lazy history keeps it at three words (vlock, value,
-// history pointer) instead of the embedded-ring ~400 bytes of the default
-// TVar<u64> -- a million-key structure cannot afford an inline ring per
-// field, and node workloads rarely revisit old versions of one field.
-using LsaSlot = TVar<std::uint64_t, false>;
+// The LSA slot is the plain TVar<u64>: three words (vlock, value, history
+// pointer). Its ring, max_versions - 1 entries, is allocated only by the
+// first commit that keeps history and freed by slot_dtor with the node.
+using LsaSlot = TVar<std::uint64_t>;
 using WordSlot = wstm::Var<std::uint64_t>;
 
 namespace detail_facade {

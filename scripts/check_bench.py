@@ -161,7 +161,7 @@ def main():
                          "read-only shapes at ~50-500ns) are dominated by "
                          "the per-txn begin/commit constant and loop "
                          "microstructure, not the per-access metadata "
-                         "lookup the gate isolates: on a 1-CPU host a ~7% "
+                         "lookup the gate isolates: on a 1-CPU host a ~7%% "
                          "build-layout swing on either side flips their "
                          "ratio across 1.15x even when the orec absolute "
                          "cost is unchanged. The /1000 read-only and /100 "
@@ -233,7 +233,7 @@ def main():
     ap.add_argument("--ds-facade-tolerance", type=float, default=1.15,
                     help="fail when an engine's geomean direct/facade "
                          "throughput ratio exceeds this (default: 1.15, "
-                         "the facade's documented <= 15% dispatch budget)")
+                         "the facade's documented <= 15%% dispatch budget)")
     ap.add_argument("--ds-glock-margin", type=float, default=1.0,
                     help="fail when glock skiplist throughput exceeds this "
                          "ratio of orec's on a threads>=2 cell (default: "

@@ -139,18 +139,18 @@ void check_large_update_txns_concurrent() {
           static_cast<std::uint64_t>(kThreads) * kTxPerThread);
 }
 
-// Word-sized TVars embed their version ring in the var itself; payloads
-// wider than a granule keep the lazily heap-allocated ring. TVar<long>
-// tests above cover the embedded path, so this covers the heap path:
-// a 16-byte payload under concurrent update/read must never tear and the
-// lazy ring must allocate safely under racing first commits.
+// Every TVar<T> shares one layout -- lock word, value, lazily allocated
+// history ring -- so the TVar<long> tests above cover the ring itself.
+// This covers a payload wider than a word: a 16-byte value (and its
+// history entries) under concurrent update/read must never tear, and the
+// ring must allocate safely under racing first commits.
 struct WidePair {
     long a;
     long b;
 };
 
 void check_wide_tvar_payload() {
-    static_assert(sizeof(WidePair) > 8, "must take the heap-history path");
+    static_assert(sizeof(WidePair) > 8, "must exercise wide atomics");
     LsaStm stm(tb::make("shared"));
     constexpr long kTotal = 100;
     TVar<WidePair> v(WidePair{kTotal / 2, kTotal / 2});

@@ -9,15 +9,98 @@
 //  3. With extension on, the same schedule extends the snapshot instead
 //     (the read set is still the most recent) and sees the new value
 //     without aborting.
+//  4. History depth: for max_versions in {2, 8, 17}, a reader whose
+//     snapshot predates exactly max_versions - 1 commits (capped at
+//     kMaxHistory) still reads the oldest kept version, and one commit
+//     more pushes that version out of the ring.
+//  5. Ring size: a TU-global allocation oracle checks that the first
+//     history-keeping commit on a stm::LsaSlot allocates one block of at
+//     most a header plus max_versions - 1 entries, max_versions = 1 never
+//     allocates, and the slot's destructor frees the ring.
+//
+// TxStats::history_reads counts the reads served from a ring: >= 1 where
+// a schedule depends on history, 0 where max_versions = 1 forbids it.
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <thread>
 
+#include <stdlib.h>  // posix_memalign for the over-aligned oracle path
+
 #include <chronostm/core/lsa_stm.hpp>
+#include <chronostm/stm/facade.hpp>
 
 #include "test_util.hpp"
 
+// ---- allocation oracle ------------------------------------------------
+//
+// TU-wide replacement of the global operator new/delete family with
+// counters (plain malloc/free pass-through, so ASan/TSan still see every
+// block). Only the ring-size check reads them, over a window in which one
+// thread runs one commit. Zero-initialized atomics: constant-initialized,
+// so counting is safe from the first allocation of program start-up.
+
+static std::atomic<long long> g_news{0};
+static std::atomic<long long> g_new_bytes{0};
+static std::atomic<long long> g_deletes{0};
+
+static void* oracle_alloc(std::size_t n, std::size_t align) {
+    void* p = nullptr;
+    if (align <= alignof(std::max_align_t)) {
+        p = std::malloc(n ? n : 1);
+    } else if (posix_memalign(&p, align, n ? n : align) != 0) {
+        p = nullptr;
+    }
+    if (p == nullptr) throw std::bad_alloc();
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    g_new_bytes.fetch_add(static_cast<long long>(n),
+                          std::memory_order_relaxed);
+    return p;
+}
+
+static void oracle_free(void* p) noexcept {
+    if (p == nullptr) return;
+    g_deletes.fetch_add(1, std::memory_order_relaxed);
+    std::free(p);
+}
+
+void* operator new(std::size_t n) {
+    return oracle_alloc(n, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t n) {
+    return oracle_alloc(n, alignof(std::max_align_t));
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+    return oracle_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+    return oracle_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { oracle_free(p); }
+void operator delete[](void* p) noexcept { oracle_free(p); }
+void operator delete(void* p, std::size_t) noexcept { oracle_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { oracle_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { oracle_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+    oracle_free(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+    oracle_free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+    oracle_free(p);
+}
+
 using namespace chronostm;
+
+// Lock word, value, history-ring pointer -- nothing inline.
+static_assert(sizeof(TVar<long>) == 3 * sizeof(std::uint64_t),
+              "TVar<long> must stay three words");
 
 namespace {
 
@@ -27,6 +110,7 @@ struct Staged {
     int attempts = 0;
     long a = -1, b = -1;
     std::uint64_t aborts = 0;
+    std::uint64_t history_reads = 0;
 };
 
 // Reader reads A, parks while a writer commits B=20, then reads B.
@@ -60,7 +144,105 @@ Staged run_schedule(unsigned max_versions, bool read_extension) {
     });
     writer.join();
     out.aborts = ctx.stats().aborts();
+    out.history_reads = ctx.stats().history_reads;
     return out;
+}
+
+// A reader's first attempt begins, then `commits` transactions (another
+// context, nested on this thread, so the order is fixed) set x to 1, 2,
+// ..., commits. Extension is off, so the reader's read of x is served by
+// x's history or not at all.
+Staged read_behind(unsigned max_versions, unsigned commits) {
+    StmConfig cfg;
+    cfg.max_versions = max_versions;
+    cfg.read_extension = false;
+    LsaStm stm(tb::make("shared"), cfg);
+    TVar<long> x(0);
+    auto writer = stm.make_context();
+    auto reader = stm.make_context();
+
+    Staged out;
+    reader.run([&](Tx& tx) {
+        if (++out.attempts == 1)
+            for (unsigned i = 1; i <= commits; ++i)
+                writer.run([&](Tx& w) { x.set(w, static_cast<long>(i)); });
+        out.b = x.get(tx);
+    });
+    out.aborts = reader.stats().aborts();
+    out.history_reads = reader.stats().history_reads;
+    return out;
+}
+
+void check_history_depth(unsigned max_versions) {
+    const unsigned kept = std::min(max_versions - 1, detail::kMaxHistory);
+    // Snapshot predates `kept` commits: version 0 is the oldest kept one.
+    {
+        const Staged r = read_behind(max_versions, kept);
+        CHECK_MSG(r.attempts == 1 && r.b == 0,
+                  "versions=%u: %u commits behind read %ld after %d attempts",
+                  max_versions, kept, r.b, r.attempts);
+        CHECK(r.history_reads == 1);
+    }
+    // One commit more evicts version 0: the reader cannot reach back that
+    // far, aborts once, and its retry sees the present.
+    {
+        const Staged r = read_behind(max_versions, kept + 1);
+        CHECK_MSG(r.attempts == 2 && r.b == static_cast<long>(kept + 1),
+                  "versions=%u: %u commits behind read %ld after %d attempts",
+                  max_versions, kept + 1, r.b, r.attempts);
+        CHECK(r.aborts == 1);
+        CHECK(r.history_reads == 0);
+    }
+}
+
+// Upper bounds the ring's layout must meet for a 64-bit value: a header
+// of at most two words (head, size, capacity) and three-word entries
+// (value, from, until).
+constexpr std::size_t kRingHeader = 2 * sizeof(std::uint64_t);
+constexpr std::size_t kRingEntry = 3 * sizeof(std::uint64_t);
+
+void check_ring_allocation(unsigned max_versions) {
+    const std::string spec = "lsa:versions=" + std::to_string(max_versions);
+    stm::Engine eng = stm::make(spec);
+    stm::Context ctx = eng.make_context();
+    // Warm the context: its access sets and write arena allocate on first
+    // use, and the window below must see only the ring.
+    {
+        stm::LsaSlot warm(0);
+        eng.run(ctx, [&](stm::Txn& tx) { tx.store(&warm, 1); });
+        eng.run(ctx, [&](stm::Txn& tx) { tx.store(&warm, 2); });
+    }
+    const long long deletes_before_slot = g_deletes.load();
+    {
+        stm::LsaSlot slot(0);
+        const long long news0 = g_news.load();
+        const long long bytes0 = g_new_bytes.load();
+        eng.run(ctx, [&](stm::Txn& tx) { tx.store(&slot, 1); });
+        const long long news = g_news.load() - news0;
+        const long long bytes = g_new_bytes.load() - bytes0;
+        if (max_versions == 1) {
+            CHECK_MSG(news == 0, "versions=1 allocated %lld blocks", news);
+        } else {
+            const std::size_t kept =
+                std::min(max_versions - 1, detail::kMaxHistory);
+            const auto bound =
+                static_cast<long long>(kRingHeader + kept * kRingEntry);
+            CHECK_MSG(news == 1, "versions=%u: %lld blocks", max_versions,
+                      news);
+            CHECK_MSG(bytes <= bound,
+                      "versions=%u: ring of %lld bytes, bound %lld",
+                      max_versions, bytes, bound);
+        }
+        // Later commits reuse the ring.
+        const long long news1 = g_news.load();
+        eng.run(ctx, [&](stm::Txn& tx) { tx.store(&slot, 2); });
+        CHECK(g_news.load() == news1);
+    }
+    // The slot's destructor freed the ring (and nothing else was freed).
+    const long long freed = g_deletes.load() - deletes_before_slot;
+    CHECK_MSG(freed == (max_versions == 1 ? 0 : 1),
+              "versions=%u: %lld blocks freed with the slot", max_versions,
+              freed);
 }
 
 }  // namespace
@@ -73,6 +255,8 @@ int main() {
         CHECK(r.a == 1);
         CHECK_MSG(r.b == 10, "old version not served: b=%ld", r.b);
         CHECK(r.aborts == 0);
+        CHECK_MSG(r.history_reads >= 1, "history_reads %llu",
+                  static_cast<unsigned long long>(r.history_reads));
     }
     {
         const Staged r = run_schedule(/*max_versions=*/1,
@@ -80,6 +264,7 @@ int main() {
         CHECK_MSG(r.attempts == 2, "attempts %d", r.attempts);
         CHECK_MSG(r.b == 20, "retry did not see fresh value: b=%ld", r.b);
         CHECK(r.aborts == 1);
+        CHECK(r.history_reads == 0);
     }
     {
         const Staged r = run_schedule(/*max_versions=*/1,
@@ -88,7 +273,10 @@ int main() {
         CHECK_MSG(r.b == 20, "extension did not reach the present: b=%ld",
                   r.b);
         CHECK(r.aborts == 0);
+        CHECK(r.history_reads == 0);
     }
+    for (unsigned v : {2u, 8u, 17u}) check_history_depth(v);
+    for (unsigned v : {1u, 2u, 8u, 17u}) check_ring_allocation(v);
     std::printf("test_stm_multiversion: PASS\n");
     return 0;
 }
