@@ -23,6 +23,9 @@
 //    depth is StmConfig::max_versions). The ring is one heap block sized
 //    to what it can keep, allocated at the var's first commit that keeps
 //    history (detail::VersionRing); the TVar holds only its pointer.
+//    History is kept on demand: until the engine's sticky switch turns on
+//    (at once with extension off, else after a context's second miss in a
+//    row), commits take the max_versions = 1 path (DESIGN.md).
 //  * A transaction maintains a snapshot interval [lower, upper]. Reads pick
 //    the most recent version valid at `upper`; when the current version is
 //    too new the snapshot is lazily extended to the present (validating the
@@ -112,7 +115,8 @@ inline CmPolicy parse_contention_manager(const std::string& name) {
 struct StmConfig : stm::CommonConfig {
     // Versions kept per TVar including the current one; 1 = no history
     // (TL2-like), larger values let long readers survive concurrent
-    // updates. Capped at detail::kMaxHistory + 1.
+    // updates. Capped at detail::kMaxHistory + 1. Old versions are kept
+    // only while LsaStm::keeps_history() is true.
     unsigned max_versions = 8;
     // Conflict arbitration policy; see CmPolicy. Parsed once per LsaStm.
     std::string contention_manager = "polite";
@@ -343,7 +347,7 @@ using TVarBase = detail::TVarBase;
 
 // Every TVar<T> is {lock word, value, history-ring pointer}: three words
 // for word-sized T, the ring nullptr until the first commit that keeps
-// history (never, under max_versions = 1).
+// history (none while the engine's history switch is off).
 template <typename T>
 class TVar : public TVarBase {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -647,8 +651,8 @@ class Transaction
     template <typename T>
     bool read_old_version(TVar<T>& var, std::uint64_t w1, T& out) {
         const auto* r = var.hist_.load(std::memory_order_acquire);
-        if (r == nullptr) return false;  // never kept history
-        const unsigned n = r->size.load(std::memory_order_acquire);
+        const unsigned n = r ? r->size.load(std::memory_order_acquire) : 0;
+        if (n == 0) return note_history_miss();  // no ring, or an emptied one
         const unsigned head = r->head.load(std::memory_order_acquire);
         for (unsigned k = 0; k < n; ++k) {
             const auto& e = r->at((head + r->cap - k) % r->cap);
@@ -680,6 +684,18 @@ class Transaction
         return false;
     }
 
+    // A read needed an old version and found no history. The second such
+    // miss in a row on this context (no commit in between) turns the
+    // engine's history switch on for good; see DESIGN.md "When history is
+    // kept" for why one miss is not enough.
+    __attribute__((noinline)) bool note_history_miss() {
+        detail::bump(stats_->history_misses);
+        if (++*misses_in_row_ >= 2 && cfg_.max_versions > 1 &&
+            !keep_history_->load(std::memory_order_relaxed))
+            keep_history_->store(true, std::memory_order_relaxed);
+        return false;
+    }
+
     // Write-set lookup for the read and write paths (commit-time
     // validation uses find_write_sorted instead).
     detail::CommitRec* find_write(TVarBase* var) {
@@ -706,7 +722,10 @@ class Transaction
     // one batch. Returns false on conflict or kill (caller counts the
     // abort and retries).
     bool commit() {
-        if (commit_read_only()) return true;
+        if (commit_read_only()) {
+            *misses_in_row_ = 0;
+            return true;
+        }
         auto& writes = sets_->writes;
         // An update transaction that resorted to old versions cannot
         // serialize at commit time. This is a freshness failure, not a
@@ -795,8 +814,9 @@ class Transaction
                 [] { (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_stamp); }))
             return rollback(writes.size());
 
+        // Switch off (always, under max_versions = 1): keep no old version.
         const unsigned keep_old =
-            cfg_.max_versions > 0
+            keep_history_->load(std::memory_order_relaxed)
                 ? std::min(cfg_.max_versions - 1, detail::kMaxHistory)
                 : 0;
         // One timestamp for the whole write set (stamping vars
@@ -843,6 +863,7 @@ class Transaction
         for (const auto* rec : writes)
             rec->var->vlock_.store(new_ts << 1, kFencedPublishOrder);
         d->status.store(detail::kTxIdle, std::memory_order_release);
+        *misses_in_row_ = 0;
         return true;
     }
 
@@ -861,6 +882,8 @@ class Transaction
 
     CmPolicy cm_;
     detail::TxDesc* desc_;
+    std::atomic<bool>* keep_history_;  // LsaStm::keeps_history() flag
+    unsigned* misses_in_row_;
     // Snapshot ceiling set by an old-version read (the version's end).
     std::uint64_t upper_cap_ = ~std::uint64_t{0};
     bool read_old_ = false;
@@ -901,10 +924,14 @@ class ThreadContext
 
     CmPolicy cm_;
     std::shared_ptr<detail::TxDesc> desc_;
+    std::atomic<bool>* keep_history_;
+    // Consecutive attempts whose read found no history; a commit resets it.
+    unsigned misses_in_row_ = 0;
 };
 
 inline Transaction::Transaction(ThreadContext& ctx)
-    : Core(ctx), cm_(ctx.cm_), desc_(ctx.desc_.get()) {
+    : Core(ctx), cm_(ctx.cm_), desc_(ctx.desc_.get()),
+      keep_history_(ctx.keep_history_), misses_in_row_(&ctx.misses_in_row_) {
     // The snapshot's lower bound starts at the begin observation, not
     // at 0: read_old_version() must never serialize this transaction
     // before a version that provably ended before it began. Without
@@ -923,6 +950,10 @@ class LsaStm : public detail::SnapshotEngine<StmConfig> {
                          detail::EpochStripes(cfg.filter_stripes)),
           cm_(parse_contention_manager(cfg_.contention_manager)) {
         if (cfg_.max_versions == 0) cfg_.max_versions = 1;
+        // Without extension a reader's only defence against any concurrent
+        // overwrite is history, so demand is certain from the start.
+        keep_history_.on.store(cfg_.max_versions > 1 && !cfg_.read_extension,
+                               std::memory_order_relaxed);
     }
 
     ThreadContext make_context() {
@@ -940,10 +971,17 @@ class LsaStm : public detail::SnapshotEngine<StmConfig> {
 
     CmPolicy contention_policy() const { return cm_; }
 
+    // Whether update commits keep old versions (sticky once true).
+    bool keeps_history() const {
+        return keep_history_.on.load(std::memory_order_relaxed);
+    }
+
  private:
     friend class ThreadContext;
 
     CmPolicy cm_;
+    // Read by every update commit, written at most once: its own line.
+    struct alignas(64) { std::atomic<bool> on{false}; } keep_history_;
     std::vector<std::shared_ptr<detail::TxDesc>> descs_;
 };
 
@@ -951,6 +989,7 @@ class LsaStm : public detail::SnapshotEngine<StmConfig> {
 // recognize the irrevocability-token holder from a lock word.
 inline ThreadContext::ThreadContext(LsaStm& stm,
                                     std::shared_ptr<detail::TxDesc> desc)
-    : Core(stm, desc.get()), cm_(stm.cm_), desc_(std::move(desc)) {}
+    : Core(stm, desc.get()), cm_(stm.cm_), desc_(std::move(desc)),
+      keep_history_(&stm.keep_history_.on) {}
 
 }  // namespace chronostm

@@ -122,6 +122,10 @@ class TxStats {
     // (read_old_version) because the current version was too new for the
     // snapshot. Always 0 for the orec engine, which keeps no history.
     std::uint64_t history_reads = 0;
+    // Reads that needed an old version and found no ring (or an emptied
+    // one): each aborted its attempt, and two in a row on one context turn
+    // the LSA engine's history switch on. Always 0 for the orec engine.
+    std::uint64_t history_misses = 0;
 
     // Total time spent in inter-attempt backoff (util/pause.hpp), rounded
     // down to microseconds from an internal nanosecond accumulator.
@@ -208,6 +212,7 @@ struct alignas(64) StatsBlock {
     std::atomic<std::uint64_t> stripe_walks{0};
     std::atomic<std::uint64_t> ro_commits{0};
     std::atomic<std::uint64_t> history_reads{0};
+    std::atomic<std::uint64_t> history_misses{0};
     // Nanoseconds internally; TxStats surfaces microseconds.
     std::atomic<std::uint64_t> backoff_ns{0};
     std::atomic<std::uint64_t> irrevocable_commits{0};
@@ -242,6 +247,7 @@ inline void accumulate(TxStats& s, const StatsBlock& b) {
     s.stripe_walks += get(b.stripe_walks);
     s.ro_commits += get(b.ro_commits);
     s.history_reads += get(b.history_reads);
+    s.history_misses += get(b.history_misses);
     s.backoff_us += get(b.backoff_ns) / 1000;
     s.irrevocable_commits += get(b.irrevocable_commits);
     s.escalations += get(b.escalations);

@@ -21,7 +21,7 @@
 //
 // The data plane is a SLOT, not a Var<T>: each engine stores a
 // transactional 64-bit word differently (LSA: a three-word TVar<u64>
-// whose history ring is a lazy heap block; orec: a bare word its global
+// whose history ring is an on-demand heap block; orec: a bare word its global
 // orec table hashes; TL2/VSTM: a versioned-lock wstm::Var<u64>; glock: a
 // bare word), so the engine reports slot_size()/slot_align() and
 // containers lay raw nodes out at runtime: [node header | slot | slot
@@ -62,7 +62,8 @@ enum class EngineKind : unsigned {
 
 // The LSA slot is the plain TVar<u64>: three words (vlock, value, history
 // pointer). Its ring, max_versions - 1 entries, is allocated only by the
-// first commit that keeps history and freed by slot_dtor with the node.
+// first commit that keeps history -- never while the engine's on-demand
+// history switch is off -- and freed by slot_dtor with the node.
 using LsaSlot = TVar<std::uint64_t>;
 using WordSlot = wstm::Var<std::uint64_t>;
 

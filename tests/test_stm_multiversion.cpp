@@ -16,10 +16,22 @@
 //  5. Ring size: a TU-global allocation oracle checks that the first
 //     history-keeping commit on a stm::LsaSlot allocates one block of at
 //     most a header plus max_versions - 1 entries, max_versions = 1 never
-//     allocates, and the slot's destructor frees the ring.
+//     allocates, and the slot's destructor frees the ring. Extension is off
+//     there, so the engine keeps history from its first commit.
+//  6. History on demand: with extension on, commits allocate nothing until
+//     one context's reads needed an old version and found no ring twice in
+//     a row (a commit in between resets the count); then the engine's
+//     switch is on, the next commit allocates one ring of the same bounded
+//     size, and the same staged read is served from it.
+//  7. Real-time order through the history fallback: a reader that began
+//     after x := 2 committed, and whose snapshot a later {x := 3, y := 1}
+//     overtook, reads x = 2 from history -- never x = 1, which died before
+//     the reader began. Run with extension off and on a warmed extension-on
+//     engine.
 //
 // TxStats::history_reads counts the reads served from a ring: >= 1 where
 // a schedule depends on history, 0 where max_versions = 1 forbids it.
+// TxStats::history_misses counts the reads that needed one and found none.
 
 #include <algorithm>
 #include <atomic>
@@ -202,7 +214,8 @@ constexpr std::size_t kRingHeader = 2 * sizeof(std::uint64_t);
 constexpr std::size_t kRingEntry = 3 * sizeof(std::uint64_t);
 
 void check_ring_allocation(unsigned max_versions) {
-    const std::string spec = "lsa:versions=" + std::to_string(max_versions);
+    const std::string spec =
+        "lsa:versions=" + std::to_string(max_versions) + ",ext=off";
     stm::Engine eng = stm::make(spec);
     stm::Context ctx = eng.make_context();
     // Warm the context: its access sets and write arena allocate on first
@@ -245,6 +258,138 @@ void check_ring_allocation(unsigned max_versions) {
               freed);
 }
 
+// Case 6. A staged read reads `anchor`; in each of its first `misses`
+// attempts a nested writer then commits {anchor, slot}, so the read of
+// `slot` can neither extend (anchor moved) nor, without a ring, fall back:
+// one history miss per such attempt. The retry after them commits.
+void check_history_on_demand() {
+    constexpr unsigned kVersions = 8;
+    stm::Engine eng = stm::make("lsa:versions=" + std::to_string(kVersions));
+    const LsaStm& lsa = stm::get_if<stm::LsaAdapter>(eng)->stm();
+    CHECK(!lsa.keeps_history());
+    stm::Context writer = eng.make_context();
+    stm::Context reader = eng.make_context();
+    stm::LsaSlot anchor(0), slot(0);
+    std::uint64_t n = 0;
+    const auto commit_both = [&] {
+        ++n;
+        eng.run(writer, [&](stm::Txn& w) {
+            w.store(&anchor, n);
+            w.store(&slot, n);
+        });
+    };
+    struct Read {
+        int attempts = 0;
+        std::uint64_t seen = 0;
+    };
+    const auto staged_read = [&](int misses) {
+        Read r;
+        eng.run(reader, [&](stm::Txn& tx) {
+            (void)tx.load(&anchor);
+            if (r.attempts++ < misses) commit_both();
+            r.seen = tx.load(&slot);
+        });
+        return r;
+    };
+    // Warm both contexts: access sets allocate on first use.
+    commit_both();
+    commit_both();
+    staged_read(0);
+
+    // Switch off: commits keep no history and allocate nothing.
+    long long news0 = g_news.load();
+    commit_both();
+    CHECK_MSG(g_news.load() == news0, "switch off: %lld blocks",
+              g_news.load() - news0);
+
+    // One miss, then a commit, twice over: the streak never reaches two.
+    for (std::uint64_t misses = 1; misses <= 2; ++misses) {
+        const Read r = staged_read(1);
+        CHECK(r.attempts == 2 && r.seen == n);
+        CHECK_MSG(reader.stats().history_misses == misses,
+                  "history_misses %llu after %llu staged misses",
+                  static_cast<unsigned long long>(
+                      reader.stats().history_misses),
+                  static_cast<unsigned long long>(misses));
+        CHECK(!lsa.keeps_history());
+    }
+    // Two misses in a row turn the switch on; the third attempt commits.
+    {
+        const Read r = staged_read(2);
+        CHECK(r.attempts == 3 && r.seen == n);
+        CHECK(reader.stats().history_misses == 4);
+        CHECK(lsa.keeps_history());
+    }
+
+    // The next commit allocates one ring within the ext=off bound.
+    news0 = g_news.load();
+    const long long bytes0 = g_new_bytes.load();
+    eng.run(writer, [&](stm::Txn& w) { w.store(&slot, ++n); });
+    const long long news = g_news.load() - news0;
+    const long long bytes = g_new_bytes.load() - bytes0;
+    CHECK_MSG(news == 1, "first commit after the switch: %lld blocks", news);
+    CHECK_MSG(bytes <= static_cast<long long>(kRingHeader +
+                                              (kVersions - 1) * kRingEntry),
+              "ring of %lld bytes", bytes);
+
+    // The staged read that missed before is now served from history.
+    const std::uint64_t reads0 = reader.stats().history_reads;
+    const std::uint64_t before = n;
+    const Read r = staged_read(1);
+    CHECK_MSG(r.attempts == 1 && r.seen == before,
+              "history read: %d attempts, saw %llu", r.attempts,
+              static_cast<unsigned long long>(r.seen));
+    CHECK(reader.stats().history_reads == reads0 + 1);
+    CHECK(reader.stats().history_misses == 4);
+}
+
+// Case 7; see the file comment. `reader` commits before x := 2, so a
+// snapshot anchored at its own last commit stamp instead of a begin-time
+// get_time() would admit x = 1.
+void check_real_time_order(bool read_extension) {
+    StmConfig cfg;
+    cfg.max_versions = 8;
+    cfg.read_extension = read_extension;
+    LsaStm stm(tb::make("shared"), cfg);
+    auto writer = stm.make_context();
+    auto reader = stm.make_context();
+    if (read_extension) {
+        // Warm the switch: two staged misses in a row on `reader`.
+        TVar<long> a(0), b(0);
+        int attempts = 0;
+        reader.run([&](Tx& tx) {
+            (void)a.get(tx);
+            if (++attempts <= 2)
+                writer.run([&](Tx& w) {
+                    a.set(w, attempts);
+                    b.set(w, attempts);
+                });
+            (void)b.get(tx);
+        });
+    }
+    CHECK(stm.keeps_history());
+
+    TVar<long> x(1), y(0), z(0);
+    reader.run([&](Tx& tx) { z.set(tx, 1); });
+    writer.run([&](Tx& w) { x.set(w, 2); });
+    const std::uint64_t reads0 = reader.stats().history_reads;
+    int attempts = 0;
+    long seen_x = -1, seen_y = -1;
+    reader.run([&](Tx& tx) {
+        seen_y = y.get(tx);
+        if (++attempts == 1)
+            writer.run([&](Tx& w) {
+                x.set(w, 3);
+                y.set(w, 1);
+            });
+        seen_x = x.get(tx);
+    });
+    CHECK_MSG(attempts == 1 && seen_y == 0 && seen_x == 2,
+              "ext=%d: %d attempts, y=%ld x=%ld", read_extension ? 1 : 0,
+              attempts, seen_y, seen_x);
+    CHECK(reader.stats().history_reads == reads0 + 1);
+}
+
 }  // namespace
 
 int main() {
@@ -277,6 +422,9 @@ int main() {
     }
     for (unsigned v : {2u, 8u, 17u}) check_history_depth(v);
     for (unsigned v : {1u, 2u, 8u, 17u}) check_ring_allocation(v);
+    check_history_on_demand();
+    check_real_time_order(/*read_extension=*/false);
+    check_real_time_order(/*read_extension=*/true);
     std::printf("test_stm_multiversion: PASS\n");
     return 0;
 }

@@ -392,16 +392,20 @@ void check_doomed_reader(const std::string& espec,
 // read-only commit succeeds at the old snapshot without ever aborting.
 //
 // Exact time bases (shared counter, perfect clock) guarantee that
-// outcome. Coarse ones (batched counters) may collapse the writer's
-// stamp into the reader's snapshot batch, and LSA then conservatively
-// aborts instead of proving the history entry covers the snapshot --
-// `require_history` relaxes the assertion to "either the history served
-// the retired node intact, or the reader retried onto the new node";
-// the reclamation invariants must hold in both outcomes.
-void check_history_pinned_read(const std::string& tbspec,
+// outcome on an engine that keeps history from its first commit, which
+// extension off does (`espec`). Coarse ones (batched counters) may
+// collapse the writer's stamp into the reader's snapshot batch, and LSA
+// then conservatively aborts instead of proving the history entry covers
+// the snapshot; an extension-on engine keeps no history until its reads
+// have missed one twice in a row, so its reader may abort too. With
+// `require_history` false the assertion is "either the history served
+// the retired node intact, or the reader retried onto the new node"; the
+// reclamation invariants must hold in both outcomes.
+void check_history_pinned_read(const std::string& espec,
+                               const std::string& tbspec,
                                bool require_history) {
     using A = stm::LsaAdapter;
-    stm::Engine eng = stm::make("lsa:versions=8", tb::make(tbspec));
+    stm::Engine eng = stm::make(espec, tb::make(tbspec));
     A& ad = *stm::get_if<A>(eng);
     using Traits = ds::SlotTraits<A>;
     ds::DirectPolicy<A> pol(ad);
@@ -442,15 +446,17 @@ void check_history_pinned_read(const std::string& tbspec,
     });
 
     if (require_history) {
-        CHECK_MSG(pass == 1, "history read aborted (pass %d, timebase %s)",
-                  pass, tbspec.c_str());
+        CHECK_MSG(pass == 1,
+                  "history read aborted (pass %d, %s, timebase %s)", pass,
+                  espec.c_str(), tbspec.c_str());
     }
     if (pass == 1) {
         CHECK(seen == 42);  // the history entry served the retired node
     } else {
         CHECK_MSG(pass == 2 && seen == 43,
-                  "pass %d seen %llu under timebase %s", pass,
-                  static_cast<unsigned long long>(seen), tbspec.c_str());
+                  "pass %d seen %llu on %s under timebase %s", pass,
+                  static_cast<unsigned long long>(seen), espec.c_str(),
+                  tbspec.c_str());
     }
     CHECK(!freed_during_read);
     heap.drain();
@@ -666,7 +672,8 @@ int main() {
         check_doomed_reader<stm::LsaAdapter>("lsa", tbs);
         check_doomed_reader<stm::OrecAdapter>("orec:bits=12", tbs);
         const bool exact = tbs == "shared" || tbs == "perfect";
-        check_history_pinned_read(tbs, exact);
+        check_history_pinned_read("lsa:versions=8,ext=off", tbs, exact);
+        check_history_pinned_read("lsa:versions=8", tbs, false);
     }
 
     check_threaded_churn<stm::LsaAdapter>("lsa");
