@@ -19,9 +19,12 @@
 // What the orec engine adds on top of the core:
 //  * metadata is the table entry, shared by every 16-byte granule that
 //    hashes to it -- two independent addresses may collide ("false
-//    conflict"; counted in TxStats::false_conflicts, rate math in
-//    DESIGN.md). The table is per-OrecStm, so independent engines never
-//    alias each other; the epoch stripes are cut from the same hash;
+//    conflict"; lock-time aliasing is counted in TxStats::false_conflicts,
+//    rate math in DESIGN.md). The table is per-OrecStm, so independent
+//    engines never alias each other; the epoch stripes are cut from the
+//    same hash;
+//  * the read set is an append-only log of (orec, word) pairs, one per
+//    read, as in TL2: no deduplication probe on the read path;
 //  * own-stamp admission: a version stamped with a stamp THIS context
 //    drew itself (stamps are globally unique, so it is this thread's own
 //    earlier commit) is admitted with no deviation shrink at all -- see
@@ -111,21 +114,24 @@ inline std::uint64_t orec_merge(std::uint64_t mem, std::uint64_t val,
     return (mem & ~lane) | (val & lane);
 }
 
-// One read-set entry, keyed by orec pointer (one entry per distinct orec,
-// however many granules hash to it) in the core's PtrTable. Each entry
-// remembers the first granule admitted under its orec so aliasing by a
-// SECOND distinct granule is observable (false-conflict counter); `word`
-// is the unlocked lock word the snapshot admitted.
+// One read-log entry: the orec a read admitted and the unlocked word it
+// admitted under. The log is append-only and keeps duplicates, as TL2's
+// read set does: a read is one append, with no probe to deduplicate.
+// Validation walks every entry. Two entries for one orec never disagree
+// in a live transaction (DESIGN.md "Orec read log").
 struct OrecReadEntry {
     std::atomic<std::uint64_t>* orec;
     std::uint64_t word;
-    const void* gran0;      // first granule admitted under this orec
-    std::uint32_t aliased;  // 1 once a second distinct granule hit
-    std::uint32_t gen;
-    const void* key() const { return orec; }
 };
-// Table entries are 8-byte aligned: shift 3.
-using OrecReadSet = PtrTable<OrecReadEntry, 3>;
+struct OrecReadSet : FlatVec<OrecReadEntry> {
+    using Entry = OrecReadEntry;
+    template <typename F>
+    bool all_of(F&& f) const {
+        for (const Entry& e : *this)
+            if (!f(e)) return false;
+        return true;
+    }
+};
 
 // Stamps this context drew from the time base itself (commit stamps and
 // livelock-defense draws), most recent first on lookup. Time-base stamps
@@ -271,21 +277,27 @@ class OrecTransaction
     // transaction did NOT write still come from a consistent snapshot.
     std::uint64_t load_granule(const void* gran) {
         const std::uint32_t wi = find_write_pos(gran);
-        if (wi != detail::PtrIndex::kNone) {
-            const detail::OrecWriteRec& rec = sets_->writes[wi];
-            if (rec.mask == 0xFFu) return rec.value;
-            const std::uint64_t mem = load_validated(gran);
-            // find_write_pos's staged probe may be stale after load_validated
-            // touched no write-set state; rec index stays valid.
-            return detail::orec_merge(mem, sets_->writes[wi].value,
-                                      sets_->writes[wi].mask);
-        }
-        return load_validated(gran);
+        if (__builtin_expect(wi == detail::PtrIndex::kNone, 1))
+            return load_validated(gran);
+        return load_buffered(gran, wi);
+    }
+
+    // Read-after-write of granule `gran`, buffered at write-set index wi;
+    // outlined so the plain read stays free of the merge code.
+    __attribute__((noinline)) std::uint64_t load_buffered(
+        const void* gran, std::uint32_t wi) {
+        const detail::OrecWriteRec& rec = sets_->writes[wi];
+        if (rec.mask == 0xFFu) return rec.value;
+        const std::uint64_t mem = load_validated(gran);
+        return detail::orec_merge(mem, rec.value, rec.mask);
     }
 
     // Seqlock-consistent validated load of one granule, admitting its orec
-    // to the snapshot (the orec-table twin of the TVar engine's read path).
+    // to the snapshot. The fresh, unlocked, stable case is inline;
+    // load_slow takes every other one.
     std::uint64_t load_validated(const void* gran);
+    std::uint64_t load_slow(const void* gran,
+                            std::atomic<std::uint64_t>* o);
 
     std::atomic<std::uint64_t>* orec_of(const void* p) const;
 
@@ -449,9 +461,8 @@ class OrecStm : public detail::SnapshotEngine<OrecConfig> {
     // orec table, with the stripe index being the TOP bits of the orec
     // index: shift = kOrecShift + table_bits - log2(stripes), so one
     // stripe covers a contiguous orec-table range and granules aliasing to
-    // one orec always share a stripe (the read path relies on that to skip
-    // re-touching on dedup hits). Stripe count is capped at the table size
-    // so the shift never drops below kOrecShift.
+    // one orec always share a stripe. Stripe count is capped at the table
+    // size so the shift never drops below kOrecShift.
     static detail::EpochStripes table_stripes(const OrecConfig& cfg) {
         const unsigned bits = clamp_table_bits(cfg.table_bits);
         const unsigned cap =
@@ -483,12 +494,40 @@ inline std::atomic<std::uint64_t>* OrecTransaction::orec_of(
                  tmask_];
 }
 
-inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
-    auto* o = orec_of(gran);
+__attribute__((always_inline)) inline std::uint64_t
+OrecTransaction::load_validated(const void* gran) {
     // Chaos harness: an armed orec_read site may delay here or demand an
     // injected abort; the token holder never honors the abort half.
     if (CHRONOSTM_FAILPOINT(orec_read) && !irrevocable_)
         throw detail::AbortTx{};
+    auto* o = orec_of(gran);
+    // Stripe snapshot BEFORE the admitting orec-word load (DESIGN.md
+    // "Striped epoch soundness"); idempotent, so every read calls it.
+    if (cfg_.epoch_filter) touch_stripe(gran);
+    const std::uint64_t w1 = o->load(std::memory_order_acquire);
+    // Validity of the current version starts at its stamp, shrunk by the
+    // pairwise stamp uncertainty dev_ -- identical to the TVar engine.
+    const std::uint64_t lo = (w1 >> 1) + dev_;
+    if (__builtin_expect(!(w1 & 1u) && lo <= upper_, 1)) {
+        const std::uint64_t v = __atomic_load_n(
+            static_cast<const std::uint64_t*>(gran), __ATOMIC_ACQUIRE);
+        // Seqlock recheck; pairs with the release fence before the data
+        // stores in commit().
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (__builtin_expect(o->load(std::memory_order_acquire) == w1, 1)) {
+            lower_ = std::max(lower_, lo);
+            sets_->reads.push_back({o, w1});
+            return v;
+        }
+    }
+    return load_slow(gran, o);
+}
+
+// Everything but a fresh, unlocked, stable read: the irrevocable attempt,
+// lock waits, own-stamp admission, torn reads and extension.
+// load_validated has already touched the stripe.
+__attribute__((noinline)) inline std::uint64_t OrecTransaction::load_slow(
+    const void* gran, std::atomic<std::uint64_t>* o) {
     if (irrevocable_) {
         // Quiescent heap: no update commit can run while this transaction
         // holds the token, so the current granule image IS the snapshot --
@@ -506,15 +545,6 @@ inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
         lower_ = std::max(lower_, (w1 >> 1) + dev_);
         return v;
     }
-    // Read-after-read dedup keyed by orec: a duplicate re-delivers under
-    // the admitted word; a miss leaves the landing slot staged so
-    // admission below is one store.
-    auto* dup = sets_->reads.find_or_stage(o);
-    // Stripe snapshot BEFORE the admitting orec-word load. The stripe
-    // bits are the top bits of the orec index (OrecStm picks the shift),
-    // so granules aliasing to one orec share a stripe -- a dup hit means
-    // the stripe was already touched at the first admission.
-    if (cfg_.epoch_filter && dup == nullptr) touch_stripe(gran);
     for (;;) {
         std::uint64_t w1 = o->load(std::memory_order_acquire);
         if (__builtin_expect(w1 & 1u, 0)) {
@@ -522,8 +552,6 @@ inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
             continue;
         }
         const std::uint64_t wv = w1 >> 1;
-        // Validity of the current version starts at wv, shrunk by the
-        // pairwise stamp uncertainty dev_ -- identical to the TVar engine.
         // A stamp this context itself drew before the transaction began
         // carries no uncertainty at all: it is this thread's own earlier
         // commit (stamps are unique), already current when the snapshot
@@ -534,28 +562,12 @@ inline std::uint64_t OrecTransaction::load_validated(const void* gran) {
         if (fresh || recent_->contains(wv)) {
             const std::uint64_t v = __atomic_load_n(
                 static_cast<const std::uint64_t*>(gran), __ATOMIC_ACQUIRE);
-            // Seqlock recheck; pairs with the release fence before the
-            // data stores in commit().
             std::atomic_thread_fence(std::memory_order_acquire);
-            if (__builtin_expect(o->load(std::memory_order_acquire) != w1,
-                                 0))
-                continue;
-            if (__builtin_expect(dup != nullptr, 0)) {
-                // A word that changed since admission means snapshot
-                // damage; refuse (same reasoning as the TVar engine).
-                if (dup->word != w1) throw detail::AbortTx{};
-                if (dup->gran0 != gran && !dup->aliased) {
-                    // Second distinct granule under one orec: table
-                    // aliasing observed on the read path.
-                    dup->aliased = 1;
-                    detail::bump(stats_->false_conflicts);
-                }
-                return v;
-            }
+            if (o->load(std::memory_order_acquire) != w1) continue;
             // Own-stamp admissions contribute no lower-bound constraint:
             // the version's real validity began before this snapshot.
             if (fresh) lower_ = std::max(lower_, wv + dev_);
-            sets_->reads.commit_stage(o, w1, gran, std::uint32_t{0});
+            sets_->reads.push_back({o, w1});
             return v;
         }
         // Too new for the snapshot: extend to the present (revalidating

@@ -90,11 +90,11 @@ class TxStats {
     std::uint64_t helped_commits = 0;
 
     // Orec-table aliasing events (core/orec_stm.hpp): number of times a
-    // transaction observed two DISTINCT granule addresses mapping to the
-    // same ownership record -- in its read set (counted once per aliased
-    // orec entry) or in its write set at lock time (once per extra granule
-    // sharing an already-locked orec). Always 0 for the per-TVar engines,
-    // whose metadata cannot alias.
+    // commit's write set met two DISTINCT granule addresses mapping to the
+    // same ownership record at lock time (once per extra granule sharing an
+    // already-locked orec). Read-side aliasing is not observed: the orec
+    // read log keeps no per-orec entry to compare granules against. Always
+    // 0 for the per-TVar engines, whose metadata cannot alias.
     std::uint64_t false_conflicts = 0;
 
     // Snapshot-extension traffic: `extensions` counts successful extensions
@@ -416,10 +416,10 @@ class FlatVec {
 };
 
 // Open-addressing hash table keyed by pointer, the one table behind every
-// per-attempt set: the read sets (keyed by the read's version-word holder,
-// a TVar or an orec) and the write-set indices (PtrIndex below). The read
-// set IS such a table: nothing ever needs the reads in insertion order
-// (try_extend and commit validation iterate in any order, rollback never
+// hashed per-attempt set: the LSA read set (keyed by the read's TVar) and
+// the write-set indices (PtrIndex below). The LSA read set IS such a
+// table: nothing ever needs the reads in insertion order (try_extend and
+// commit validation iterate in any order, rollback never
 // touches them), so keeping a side index next to an append array would
 // double the per-read store traffic for nothing. One probe answers
 // "already present?" and, on a miss, leaves the landing slot staged so
@@ -700,8 +700,9 @@ class SnapshotTx {
     std::uint64_t snapshot_lower() const { return lower_; }
     std::uint64_t snapshot_upper() const { return upper_; }
 
-    // Deduplicated set sizes (distinct TVars or orecs read, distinct TVars
-    // or granules written); exposed for tests and instrumentation.
+    // Set sizes: distinct TVars read (LSA) or one entry per read (the orec
+    // engine's append-only log), distinct TVars or granules written;
+    // exposed for tests and instrumentation.
     std::size_t read_set_size() const { return sets_->reads.size(); }
     std::size_t write_set_size() const { return sets_->writes.size(); }
 

@@ -16,10 +16,20 @@
 // epoch layer keeps it alive for concurrent doomed readers and for
 // old-snapshot reads served from predecessors' history rings.
 //
+// Live height: a relaxed hint of the highest level linked, raised by
+// insert before it links a taller node and lowered by erase when its
+// unlink empties the top levels. contains and insert start their searches
+// there instead of at kMaxLevel, skipping the empty head slots above it.
+// Any start level is correct because level 0 links every node: a hint
+// that is too high costs empty head reads, one that is too low longer
+// walks. Erase searches from kMaxLevel, so its path covers every level of
+// the victim and shows which levels the unlink empties.
+//
 // Thread handles (make_handle) must not outlive the container.
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -83,11 +93,12 @@ class SkiplistSet {
 
     bool contains(Handle& h, std::uint64_t key) {
         bool found = false;
+        const int top = static_cast<int>(live_height());
         run_alloc_tx(pol_, h, [&](auto& tx) {
             found = false;
             void* pred = head_;
             std::uint64_t cur = 0;
-            for (int lvl = kMaxLevel - 1; lvl >= 0; --lvl) {
+            for (int lvl = top - 1; lvl >= 0; --lvl) {
                 cur = tx.load(slot_at(pred, lvl));
                 while (cur != 0 && key_of(as_ptr(cur)) < key) {
                     pred = as_ptr(cur);
@@ -105,13 +116,17 @@ class SkiplistSet {
     // True if the key was inserted (false: already present).
     bool insert(Handle& h, std::uint64_t key) {
         bool inserted = false;
+        // Drawn once per op: the search must cover every level the new
+        // node links into, so its start is known before the transaction.
+        const unsigned lvl = random_level(h);
+        const unsigned top = std::max(live_height(), lvl);
         run_alloc_tx(pol_, h, [&](auto& tx) {
             inserted = false;
             void* preds[kMaxLevel];
             std::uint64_t succs[kMaxLevel];
-            if (find_path(tx, key, preds, succs)) return;  // present
+            if (find_path(tx, key, top, preds, succs)) return;  // present
 
-            const unsigned lvl = random_level(h);
+            raise_height(lvl);
             void* n = h.heap.tx_alloc(node_bytes(lvl));
             header_of(n)[0] = key;
             header_of(n)[1] = lvl;
@@ -130,20 +145,29 @@ class SkiplistSet {
     // True if the key was removed (false: not present).
     bool erase(Handle& h, std::uint64_t key) {
         bool erased = false;
+        unsigned live = kMaxLevel;
         run_alloc_tx(pol_, h, [&](auto& tx) {
             erased = false;
             void* preds[kMaxLevel];
             std::uint64_t succs[kMaxLevel];
-            if (!find_path(tx, key, preds, succs)) return;
+            if (!find_path(tx, key, kMaxLevel, preds, succs)) return;
 
             void* victim = as_ptr(succs[0]);
             const unsigned lvl = level_of(victim);
-            for (unsigned i = 0; i < lvl; ++i)
-                tx.store(slot_at(preds[i], i),
-                         tx.load(slot_at(victim, i)));
+            for (unsigned i = 0; i < lvl; ++i) {
+                succs[i] = tx.load(slot_at(victim, i));
+                tx.store(slot_at(preds[i], i), succs[i]);
+            }
             h.heap.tx_free(victim, &reap_node, &reap_);
             erased = true;
+            // The full-height path shows which levels the unlink leaves
+            // empty: those whose head slot now holds 0.
+            live = kMaxLevel;
+            while (live > 1 && preds[live - 1] == head_ &&
+                   succs[live - 1] == 0)
+                --live;
         });
+        if (erased) lower_height(live);
         return erased;
     }
 
@@ -208,13 +232,13 @@ class SkiplistSet {
         ::operator delete(n);
     }
 
-    // Search path for `key`: preds/succs at every level; true if present
-    // (succs[0] is then the node).
+    // Search path for `key` from level `top` down: preds/succs at every
+    // level below `top`; true if present (succs[0] is then the node).
     template <typename Tx>
-    bool find_path(Tx& tx, std::uint64_t key, void** preds,
+    bool find_path(Tx& tx, std::uint64_t key, unsigned top, void** preds,
                    std::uint64_t* succs) {
         void* pred = head_;
-        for (int lvl = kMaxLevel - 1; lvl >= 0; --lvl) {
+        for (int lvl = static_cast<int>(top) - 1; lvl >= 0; --lvl) {
             std::uint64_t cur = tx.load(slot_at(pred, lvl));
             while (cur != 0 && key_of(as_ptr(cur)) < key) {
                 pred = as_ptr(cur);
@@ -224,6 +248,33 @@ class SkiplistSet {
             succs[lvl] = cur;
         }
         return succs[0] != 0 && key_of(as_ptr(succs[0])) == key;
+    }
+
+    unsigned live_height() const {
+        return height_.load(std::memory_order_relaxed);
+    }
+
+    // Called before linking a node of `lvl` levels. A raise by an attempt
+    // that later aborts is kept: it only makes later searches read empty
+    // head slots.
+    void raise_height(unsigned lvl) {
+        unsigned h = live_height();
+        while (h < lvl &&
+               !height_.compare_exchange_weak(h, lvl,
+                                              std::memory_order_relaxed))
+            ;
+    }
+
+    // After an erase commits: the highest level its snapshot left linked.
+    // A concurrent insert may have raised the height above that in the
+    // meantime; losing its raise only costs longer searches until the next
+    // tall insert.
+    void lower_height(unsigned live) {
+        unsigned h = live_height();
+        while (h > live &&
+               !height_.compare_exchange_weak(h, live,
+                                              std::memory_order_relaxed))
+            ;
     }
 
     unsigned random_level(Handle& h) {
@@ -241,6 +292,7 @@ class SkiplistSet {
     Reap reap_;  // declared before heap_: limbo drains in ~heap_ use it
     stm::TxHeap heap_;
     void* head_;
+    std::atomic<unsigned> height_{1};  // live-height hint, >= 1
     std::atomic<std::uint64_t> handle_seq_{0};
 };
 

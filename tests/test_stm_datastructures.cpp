@@ -69,6 +69,32 @@ void check_set_semantics(Policy pol, const char* label) {
         CHECK(set.contains(h, k) == (ref.count(k) == 1));
 }
 
+// The skiplist's live height: contains and insert start their searches at
+// a hint of the highest linked level, which inserts raise and erases
+// lower. 120k ops over 2^16 keys, starting empty, move the hint through
+// every value a list of this size reaches; each result is checked against
+// std::set.
+template <typename Policy>
+void check_set_live_height(Policy pol, const char* label) {
+    constexpr std::uint64_t kKeys = std::uint64_t{1} << 16;
+    ds::SkiplistSet<Policy> set(pol);
+    auto h = set.make_handle();
+    std::set<std::uint64_t> ref;
+    std::uint64_t r = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 120000; ++i) {
+        const std::uint64_t key = xorshift(r) % kKeys;
+        const unsigned op = (r >> 20) & 3;
+        bool ok;
+        if (op <= 1) ok = set.insert(h, key) == ref.insert(key).second;
+        else if (op == 2) ok = set.erase(h, key) == (ref.erase(key) == 1);
+        else ok = set.contains(h, key) == (ref.count(key) == 1);
+        CHECK_MSG(ok, "%s live height: op %u key %llu step %d", label, op,
+                  static_cast<unsigned long long>(key), i);
+    }
+    CHECK_MSG(set.unsafe_size() == ref.size(), "%s live height: size %zu "
+              "vs %zu", label, set.unsafe_size(), ref.size());
+}
+
 template <typename Policy>
 void check_map_semantics(Policy pol, const char* label) {
     ds::TxHashMap<Policy> map(pol, 256);
@@ -297,6 +323,11 @@ int main() {
         stm::Engine eng = stm::make(spec);
         check_all([&] { return ds::EnginePolicy(eng); },
                   std::string("engine:") + spec);
+    }
+
+    for (const char* spec : {"orec", "lsa"}) {
+        stm::Engine eng = stm::make(spec);
+        check_set_live_height(ds::EnginePolicy(eng), spec);
     }
 
     // The compile-time twin must behave identically (same container code,

@@ -9,8 +9,11 @@
 //    serializable under every collision pattern (locking dedups via the
 //    ownership index instead of self-deadlocking; commit validation must
 //    not confuse "locked by me" with a foreign lock on the same version);
-//  * the false_conflicts counter: distinct-granule aliasing is observable
-//    in TxStats and zero when the table is big enough to avoid it;
+//  * the false_conflicts counter: distinct-granule aliasing at lock time
+//    is observable in TxStats and zero when the table is big enough to
+//    avoid it;
+//  * the append-only read log: a re-read of an orec a foreign commit
+//    changed aborts, through the same granule or an aliasing one;
 //  * partial-granule write-back: bytes a transaction did NOT write must
 //    survive its commit merging the ones it did;
 //  * single-version semantics: a word-sized WordVar is metadata-free
@@ -158,14 +161,51 @@ void same_orec_self_collision() {
     // 16 distinct granules, 4 orecs: at least 12 aliased lock requests.
     CHECK(stm.collected_stats().false_conflicts >= 12);
 
-    // Read path aliasing: one reader over all 16 slots dedups to <= 4
-    // read-set entries and flags the aliasing once per extra granule.
+    // Read path aliasing: the read log is append-only, one entry per
+    // read, however many granules share an orec.
     ctx.run([&](OrecTransaction& tx) {
         long sum = 0;
         for (int i = 0; i < 16; ++i) sum += tx_read(tx, &arr[i]);
-        CHECK(tx.read_set_size() <= 4);
+        CHECK(tx.read_set_size() == 16);
         return sum;
     });
+}
+
+// Staged re-read after a foreign commit: T reads x, W commits a new x,
+// then T reads x again -- directly, or through a second granule that
+// aliases x's orec. The read log keeps no per-orec entry to compare the
+// new word against, so this guards that the re-read still aborts (its
+// version is too new, and the extension walk meets x's changed word)
+// and never returns W's value.
+void reread_after_foreign_commit(bool aliased) {
+    OrecConfig cfg;
+    cfg.table_bits = 2;
+    OrecStm stm(tb::make("shared"), cfg);
+    alignas(64) long arr[16] = {0};
+    long* x = &arr[0];
+    const long* again = aliased ? &arr[8] : x;  // 64 bytes on: same orec
+    CHECK(!aliased || stm.orec_of(x) == stm.orec_of(again));
+
+    auto ctx_t = stm.make_context();
+    auto ctx_w = stm.make_context();
+    auto t = ctx_t.txn_begin();
+    CHECK(tx_read(t, x) == 0);
+
+    auto w = ctx_w.txn_begin();
+    tx_write(w, x, long{7});
+    CHECK(ctx_w.txn_commit(w));
+    CHECK(__atomic_load_n(x, __ATOMIC_ACQUIRE) == 7);
+
+    bool aborted = false;
+    try {
+        const long v = tx_read(t, again);
+        CHECK_MSG(v != 7, "aliased=%d: re-read returned the new value",
+                  static_cast<int>(aliased));
+    } catch (const detail::AbortTx&) {
+        aborted = true;
+    }
+    CHECK_MSG(aborted, "aliased=%d: re-read after a foreign commit did "
+                       "not abort", static_cast<int>(aliased));
 }
 
 // A roomy table on 16-byte-strided slots: zero false conflicts expected.
@@ -258,6 +298,8 @@ int main() {
     wordvar_basics();
     straddling_write();
     same_orec_self_collision();
+    reread_after_foreign_commit(false);
+    reread_after_foreign_commit(true);
     no_false_conflicts_when_roomy();
 
     // Concurrency under collision pressure, across the CI time-base
