@@ -175,6 +175,30 @@ void bm_tl2_update_txn(benchmark::State& state) {
 // Filter on: the O(1) epoch comparison admits the new snapshot bound.
 // Filter off (_NoFilter twins): the full O(R) read-set walk runs every
 // time. check_bench.py --epoch-gate requires on >= 2x off at R=8192.
+//
+// The filter arms on demand (DESIGN.md "Stripes on demand"): an unarmed
+// extension walk over R >= kArmWalk entries asks for it, and the request
+// is served once that attempt ends. Every extension row first runs one
+// such attempt (arm_by_walk), so its timed attempt begins armed with the
+// filter on, and keeps walking with it off (which never arms).
+
+template <typename Ctx, typename ReadAll>
+void arm_by_walk(Ctx& ctx, tb::ThreadClock& side, ReadAll read_all) {
+    auto tx = ctx.txn_begin();
+    read_all(tx);
+    side.get_new_ts();
+    benchmark::DoNotOptimize(tx.try_extend_now());
+    ctx.txn_commit(tx);
+}
+
+// Fails a row whose engine did not end up in the filter mode it measures
+// (called before the timed loop, which SkipWithError then skips).
+template <typename Stm>
+void check_arm_state(benchmark::State& state, const Stm& stm, bool filter) {
+    if (stm.filter_armed() != filter)
+        state.SkipWithError(filter ? "epoch filter did not arm"
+                                   : "epoch filter armed with the filter off");
+}
 
 void bm_extend_lsa(benchmark::State& state, const std::string& spec,
                    bool filter) {
@@ -189,9 +213,14 @@ void bm_extend_lsa(benchmark::State& state, const std::string& spec,
     // (0 + 2*deviation <= get_time() fails) and the raw reads below
     // would throw a freshness abort.
     for (int i = 0; i < 64; ++i) side.get_new_ts();
-    Transaction tx = ctx.txn_begin();
     long sum = 0;
-    for (auto& v : rig.vars) sum += v->get(tx);
+    const auto read_all = [&](Transaction& t) {
+        for (auto& v : rig.vars) sum += v->get(t);
+    };
+    arm_by_walk(ctx, side, read_all);
+    check_arm_state(state, rig.stm, filter);
+    Transaction tx = ctx.txn_begin();
+    read_all(tx);
     benchmark::DoNotOptimize(sum);
     for (auto _ : state) {
         side.get_new_ts();
@@ -211,9 +240,14 @@ void bm_extend_orec(benchmark::State& state, const std::string& spec,
     // Same warm-up as bm_extend_lsa: clear the deviation window so the
     // anchor reads admit version 0 on block-drawing bases.
     for (int i = 0; i < 64; ++i) side.get_new_ts();
-    OrecTransaction tx = ctx.txn_begin();
     long sum = 0;
-    for (auto& v : rig.vars) sum += v->get(tx);
+    const auto read_all = [&](OrecTransaction& t) {
+        for (auto& v : rig.vars) sum += v->get(t);
+    };
+    arm_by_walk(ctx, side, read_all);
+    check_arm_state(state, rig.stm, filter);
+    OrecTransaction tx = ctx.txn_begin();
+    read_all(tx);
     benchmark::DoNotOptimize(sum);
     for (auto _ : state) {
         side.get_new_ts();
@@ -273,9 +307,15 @@ void bm_extend_lsa_disjoint(benchmark::State& state, unsigned stripes) {
     {
         auto rctx = stm.make_context();
         auto wctx = stm.make_context();
-        Transaction tx = rctx.txn_begin();
+        auto side = stm.time_base().make_thread_clock();
         long sum = 0;
-        for (std::size_t i = 0; i < reads; ++i) sum += rv[i].get(tx);
+        const auto read_all = [&](Transaction& t) {
+            for (std::size_t i = 0; i < reads; ++i) sum += rv[i].get(t);
+        };
+        arm_by_walk(rctx, side, read_all);
+        check_arm_state(state, stm, true);
+        Transaction tx = rctx.txn_begin();
+        read_all(tx);
         benchmark::DoNotOptimize(sum);
         for (auto _ : state) {
             wctx.run(
@@ -314,9 +354,15 @@ void bm_extend_orec_disjoint(benchmark::State& state, unsigned stripes) {
     {
         auto rctx = stm.make_context();
         auto wctx = stm.make_context();
-        OrecTransaction tx = rctx.txn_begin();
+        auto side = stm.time_base().make_thread_clock();
         long sum = 0;
-        for (std::size_t i = 0; i < reads; ++i) sum += rv[i].get(tx);
+        const auto read_all = [&](OrecTransaction& t) {
+            for (std::size_t i = 0; i < reads; ++i) sum += rv[i].get(t);
+        };
+        arm_by_walk(rctx, side, read_all);
+        check_arm_state(state, stm, true);
+        OrecTransaction tx = rctx.txn_begin();
+        read_all(tx);
         benchmark::DoNotOptimize(sum);
         for (auto _ : state) {
             wctx.run(

@@ -38,8 +38,10 @@
 //  * Conflict resolution is delegated to a pluggable contention manager
 //    (StmConfig::contention_manager): suicide, polite (backoff), aggressive,
 //    timestamp. Managers that abort the enemy do so cooperatively by
-//    CASing the owner's descriptor from Locking/NeedTs to Killed; a
-//    descriptor that reached Committed can no longer be killed.
+//    CASing the owner's descriptor from Locking to Killed; the owner only
+//    loads its status (after its last lock and after validation) and
+//    stores Committed plainly, so a kill that lands after its last check
+//    loses. Kills are advisory: the killer still waits for the lock word.
 //  * With an externally synchronized time base, every version's validity
 //    range is shrunk at both ends by the pairwise stamp uncertainty (twice
 //    the published per-stamp deviation bound: both the version's stamp and
@@ -60,10 +62,13 @@
 //    (<= detail::kInlineScan entries, cache-hot) and an open-addressing
 //    hash on TVar* beyond that, so large update transactions cost O(1) per
 //    lookup instead of O(W).
-//  * Read-after-read is deduplicated through the same inline-then-hash
-//    scheme: re-reading a var re-delivers the version already admitted to
-//    the snapshot and adds nothing to the read set, keeping try_extend and
-//    commit-time validation passes minimal.
+//  * The read set is an append-only log of (TVar, admitted word) pairs,
+//    one per read, duplicates kept, as in the orec engine: a read is one
+//    append with no deduplication probe, and try_extend, commit-time
+//    validation and become_irrevocable walk the log densely. A re-read
+//    that finds its var changed fails extension and falls back to history,
+//    which serves the version the first read admitted (DESIGN.md "Read
+//    log").
 
 #pragma once
 
@@ -131,14 +136,16 @@ namespace detail {
 
 inline constexpr unsigned kMaxHistory = 16;
 
-// Commit descriptor life cycle. Kill CASes are only legal from Locking or
-// NeedTs; Committed is the point of no return.
+// Commit descriptor life cycle. A kill CAS is only legal from Locking,
+// which covers the whole commit up to the owner's decision: locking, the
+// stamp draw and validation. The owner never CASes its own status: it
+// loads it after its last lock and after validation, and stores
+// Committed plainly, so a kill landing after the second check is lost.
 enum TxStatus : int {
     kTxIdle = 0,
-    kTxLocking,    // acquiring write-set locks in address order
-    kTxNeedTs,     // locks held, waiting for a commit timestamp
+    kTxLocking,    // locking, drawing the stamp, validating
     kTxCommitted,  // decided; the owner is writing back
-    kTxKilled,     // a contention manager aborted this attempt
+    kTxKilled,     // a contention manager asked this attempt to abort
 };
 
 class TVarBase;
@@ -207,20 +214,19 @@ class WriteArena {
     std::size_t used_ = 0;
 };
 
-// One read-set entry: the TVar and the unlocked lock word its read
-// admitted (core/snapshot_core.hpp's PtrTable holds them).
+// One read-log entry: the TVar and the unlocked lock word its read
+// admitted. The log is append-only and keeps duplicates; validation walks
+// every entry (DESIGN.md "Read log").
 struct ReadEntry {
     TVarBase* var;
     std::uint64_t word;
-    std::uint32_t gen;
-    const void* key() const { return var; }
 };
-using ReadSet = PtrTable<ReadEntry, 4>;
+using ReadSet = FlatVec<ReadEntry>;
 
 // Per-thread access-set storage, owned by the ThreadContext and reused by
-// every attempt of every transaction it runs: tables keep their capacity,
-// the arena keeps its chunks. This is what makes the steady-state hot path
-// allocation-free.
+// every attempt of every transaction it runs: logs and indices keep their
+// capacity, the arena keeps its chunks. This is what makes the steady-state
+// hot path allocation-free.
 struct AccessSets {
     ReadSet reads;
     FlatVec<CommitRec*> writes;  // records live in `arena`
@@ -243,8 +249,8 @@ struct AccessSets {
 // Published commit descriptor, one per thread context, reused across
 // transactions. Locked orecs point at it, so a conflicting transaction can
 // read the owner's status and start stamp and kill it cooperatively.
-// Padded to its own cache line: the owner stores `status` several times
-// per update commit, and contexts' descriptors are allocated back to back.
+// Padded to its own cache line: the owner stores `status` three times per
+// update commit, and contexts' descriptors are allocated back to back.
 struct alignas(64) TxDesc {
     std::atomic<int> status{kTxIdle};
     // Seniority of the in-flight attempt, for the timestamp manager.
@@ -439,11 +445,12 @@ class Transaction
     }
 
     // Cooperative kill: only attempts that have not reached Committed can
-    // die. A stale kill (the descriptor moved on to a later attempt) costs
-    // that attempt a spurious abort, never correctness.
+    // die, and only if the owner checks before deciding. A stale kill (the
+    // descriptor moved on to a later attempt) costs that attempt a
+    // spurious abort, never correctness.
     static void try_kill(detail::TxDesc* d) {
         int s = d->status.load(std::memory_order_acquire);
-        if (s == detail::kTxLocking || s == detail::kTxNeedTs)
+        if (s == detail::kTxLocking)
             d->status.compare_exchange_strong(s, detail::kTxKilled,
                                               std::memory_order_acq_rel,
                                               std::memory_order_relaxed);
@@ -466,10 +473,7 @@ class Transaction
             // If a manager killed *us* while we were stuck here, yield now
             // (only possible while we hold locks, i.e. during commit). The
             // irrevocability-token holder is exempt: nothing may abort it.
-            if (!irrevocable_ &&
-                desc_->status.load(std::memory_order_relaxed) ==
-                    detail::kTxKilled)
-                throw detail::AbortTx{};
+            if (killed()) throw detail::AbortTx{};
             auto* owner = decode_owner(w);
             // The token holder wins every arbitration: nobody kills it, and
             // it never yields -- it outwaits the lock owner, which is
@@ -539,18 +543,11 @@ class Transaction
             return v;
         }
 
-        // Read-after-read dedup: if the var is already in the read set, the
-        // admitted version is re-delivered and the read set stays as-is. On
-        // a miss the probe's landing slot stays staged, so admission below
-        // is a single store.
-        const auto* dup = sets_->reads.find_or_stage(&var);
-
         // Stripe snapshot BEFORE the admitting lock-word load: a writer
         // publishing to this stripe after the snapshot is a visible bump
-        // at extension/validation time (spurious walk at worst). A dup
-        // read's stripe was snapshotted at its first admission, which also
-        // preceded this load.
-        if (cfg_.epoch_filter && dup == nullptr) touch_stripe(&var);
+        // at extension/validation time (spurious walk at worst).
+        // Idempotent, so every read of an armed attempt calls it.
+        if (stripes_on_) touch_stripe(&var);
 
         for (;;) {
             std::uint64_t w1 = var.vlock_.load(std::memory_order_acquire);
@@ -566,26 +563,17 @@ class Transaction
                 std::atomic_thread_fence(std::memory_order_acquire);
                 if (var.vlock_.load(std::memory_order_acquire) != w1)
                     continue;  // raced with a commit; retry the read
-                if (dup != nullptr) {
-                    // Same version as the first read (the normal case; a
-                    // conflicting commit cannot produce an admissible newer
-                    // version, see below) -- nothing new to track. A word
-                    // that differs can only mean snapshot damage; refuse.
-                    if (dup->word != w1) throw detail::AbortTx{};
-                    return v;
-                }
                 lower_ = std::max(lower_, wv + dev_);
-                sets_->reads.commit_stage(&var, w1);
+                sets_->reads.push_back({&var, w1});
                 return v;
             }
-            // Current version is newer than the snapshot. A duplicate read
-            // can only land here if the var changed since we read it, and a
-            // changed var means extension would fail; go straight to the
-            // old-version fallback, which returns the still-valid version
-            // we first read. First choice otherwise: lazily extend the
-            // snapshot to the present.
+            // Current version is newer than the snapshot. First choice:
+            // lazily extend the snapshot to the present. A re-read of a var
+            // that changed since its first read fails here (the walk meets
+            // the logged word) and falls back to history, which serves the
+            // still-valid version the first read admitted.
             bool conflict = false;
-            if (dup == nullptr && cfg_.read_extension) {
+            if (cfg_.read_extension) {
                 if (try_extend()) continue;
                 conflict = extend_conflict_;
             }
@@ -636,11 +624,11 @@ class Transaction
         return rec->var;
     }
 
-    // Full O(R) read-set validation: every read var still carries exactly
-    // the admitted (unlocked) word.
+    // Full O(R) read-set validation: every logged read still carries
+    // exactly the admitted (unlocked) word.
     bool walk_read_set() const {
         return sets_->reads.all_of(
-            [](const detail::ReadSet::Entry& e) {
+            [](const detail::ReadEntry& e) {
                 return e.var->vlock_.load(std::memory_order_acquire) ==
                        e.word;
             });
@@ -717,10 +705,10 @@ class Transaction
     }
 
     // Commit protocol: lock the write set in address order (descriptor
-    // pointer goes into each orec), publish NeedTs, draw the commit
-    // timestamp and validate reads, publish Committed, then write back in
-    // one batch. Returns false on conflict or kill (caller counts the
-    // abort and retries).
+    // pointer goes into each orec), check for a kill, draw the commit
+    // timestamp and validate reads, check again and publish Committed,
+    // then write back in one batch. Returns false on conflict or kill
+    // (caller counts the abort and retries).
     bool commit() {
         if (commit_read_only()) {
             *misses_in_row_ = 0;
@@ -752,10 +740,7 @@ class Transaction
             for (; locked < writes.size(); ++locked) {
                 auto* rec = writes[locked];
                 for (;;) {
-                    if (!irrevocable_ &&
-                        d->status.load(std::memory_order_relaxed) ==
-                            detail::kTxKilled)
-                        return rollback(locked);
+                    if (killed()) return rollback(locked);
                     std::uint64_t w =
                         rec->var->vlock_.load(std::memory_order_relaxed);
                     if (w & 1u) {
@@ -778,25 +763,16 @@ class Transaction
         // last write lock, before anything is published.
         (void)CHRONOSTM_FAILPOINT(lsa_commit_post_lock);
 
-        // Locks held: announce NeedTs, then draw the commit timestamp
-        // (stamp_and_validate). It MUST be drawn after the last lock is
-        // acquired -- see the stamp-order note above.
-        int expect = detail::kTxLocking;
-        if (irrevocable_) {
-            // The token holder ignores stale kills (a racer holding a
-            // descriptor pointer from an earlier attempt): it cannot be
-            // aborted, so the status moves by plain store.
-            d->status.store(detail::kTxNeedTs, std::memory_order_release);
-        } else if (!d->status.compare_exchange_strong(
-                       expect, detail::kTxNeedTs,
-                       std::memory_order_acq_rel,
-                       std::memory_order_relaxed)) {
-            return rollback(writes.size());  // killed while locking
-        }
+        // Locks held: honor a kill that landed while locking, then draw
+        // the commit timestamp (stamp_and_validate). It MUST be drawn after
+        // the last lock is acquired -- see the stamp-order note above. The
+        // token holder ignores kills (a stale racer holding a descriptor
+        // pointer from an earlier attempt): nothing may abort it.
+        if (killed()) return rollback(writes.size());
         std::uint64_t commit_ts;
         if (!stamp_and_validate(
                 commit_ts,
-                [this](const detail::ReadSet::Entry& e) {
+                [this](const detail::ReadEntry& e) {
                     const std::uint64_t cur =
                         e.var->vlock_.load(std::memory_order_acquire);
                     if (cur == e.word) return true;
@@ -828,16 +804,11 @@ class Transaction
         for (const auto* rec : writes)
             new_ts = std::max(new_ts, (rec->locked_word >> 1) + 1);
 
-        expect = detail::kTxNeedTs;
-        if (irrevocable_) {
-            d->status.store(detail::kTxCommitted,
-                            std::memory_order_release);
-        } else if (!d->status.compare_exchange_strong(
-                       expect, detail::kTxCommitted,
-                       std::memory_order_acq_rel,
-                       std::memory_order_relaxed)) {
-            return rollback(writes.size());  // killed at the buzzer
-        }
+        // Last check, then the decision by plain store: a kill CAS that
+        // lands between the two is overwritten and loses, and its killer
+        // keeps waiting for our lock words like any other waiter.
+        if (killed()) return rollback(writes.size());
+        d->status.store(detail::kTxCommitted, std::memory_order_release);
 
         if (cfg_.commit_publish_hook) cfg_.commit_publish_hook();
         // Chaos harness: a committer parked here is decided but has
@@ -865,6 +836,14 @@ class Transaction
         d->status.store(detail::kTxIdle, std::memory_order_release);
         *misses_in_row_ = 0;
         return true;
+    }
+
+    // Whether a contention manager killed this commit attempt; the token
+    // holder is never killed.
+    bool killed() const {
+        return !irrevocable_ &&
+               desc_->status.load(std::memory_order_acquire) ==
+                   detail::kTxKilled;
     }
 
     // Abort path while holding the first `n` write-set locks: restore the

@@ -24,7 +24,8 @@
 //    engines never alias each other; the epoch stripes are cut from the
 //    same hash;
 //  * the read set is an append-only log of (orec, word) pairs, one per
-//    read, as in TL2: no deduplication probe on the read path;
+//    read, as in TL2 and the TVar engine: no deduplication probe on the
+//    read path;
 //  * own-stamp admission: a version stamped with a stamp THIS context
 //    drew itself (stamps are globally unique, so it is this thread's own
 //    earlier commit) is admitted with no deviation shrink at all -- see
@@ -118,20 +119,12 @@ inline std::uint64_t orec_merge(std::uint64_t mem, std::uint64_t val,
 // admitted under. The log is append-only and keeps duplicates, as TL2's
 // read set does: a read is one append, with no probe to deduplicate.
 // Validation walks every entry. Two entries for one orec never disagree
-// in a live transaction (DESIGN.md "Orec read log").
+// in a live transaction (DESIGN.md "Read log").
 struct OrecReadEntry {
     std::atomic<std::uint64_t>* orec;
     std::uint64_t word;
 };
-struct OrecReadSet : FlatVec<OrecReadEntry> {
-    using Entry = OrecReadEntry;
-    template <typename F>
-    bool all_of(F&& f) const {
-        for (const Entry& e : *this)
-            if (!f(e)) return false;
-        return true;
-    }
-};
+using OrecReadSet = FlatVec<OrecReadEntry>;
 
 // Stamps this context drew from the time base itself (commit stamps and
 // livelock-defense draws), most recent first on lookup. Time-base stamps
@@ -337,7 +330,7 @@ class OrecTransaction
     // Full O(R) read-set validation against the current orec words.
     bool walk_read_set() const {
         return sets_->reads.all_of(
-            [](const detail::OrecReadSet::Entry& e) {
+            [](const detail::OrecReadEntry& e) {
                 return e.orec->load(std::memory_order_acquire) == e.word;
             });
     }
@@ -502,8 +495,9 @@ OrecTransaction::load_validated(const void* gran) {
         throw detail::AbortTx{};
     auto* o = orec_of(gran);
     // Stripe snapshot BEFORE the admitting orec-word load (DESIGN.md
-    // "Striped epoch soundness"); idempotent, so every read calls it.
-    if (cfg_.epoch_filter) touch_stripe(gran);
+    // "Striped epoch soundness"); idempotent, so every read of an armed
+    // attempt calls it.
+    if (stripes_on_) touch_stripe(gran);
     const std::uint64_t w1 = o->load(std::memory_order_acquire);
     // Validity of the current version starts at its stamp, shrunk by the
     // pairwise stamp uncertainty dev_ -- identical to the TVar engine.
@@ -525,7 +519,7 @@ OrecTransaction::load_validated(const void* gran) {
 
 // Everything but a fresh, unlocked, stable read: the irrevocable attempt,
 // lock waits, own-stamp admission, torn reads and extension.
-// load_validated has already touched the stripe.
+// load_validated has already touched the stripe (armed attempts only).
 __attribute__((noinline)) inline std::uint64_t OrecTransaction::load_slow(
     const void* gran, std::atomic<std::uint64_t>* o) {
     if (irrevocable_) {
@@ -661,7 +655,7 @@ inline bool OrecTransaction::commit() {
     std::uint64_t commit_ts;
     if (!stamp_and_validate(
             commit_ts,
-            [&](const detail::OrecReadSet::Entry& e) {
+            [&](const detail::OrecReadEntry& e) {
                 const std::uint64_t cur =
                     e.orec->load(std::memory_order_acquire);
                 if (cur == e.word) return true;

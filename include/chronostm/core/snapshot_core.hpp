@@ -33,7 +33,7 @@
 //    irrevocability gate and the per-context stats registry.
 // Ahead of them sit the types both engines use: TxStats, RetryExhausted,
 // the per-context StatsBlock, the irrevocability gate, and the pooled
-// containers the access sets are built from (FlatVec, PtrTable, PtrIndex).
+// containers the access sets are built from (FlatVec, PtrIndex).
 
 #pragma once
 
@@ -101,6 +101,8 @@ class TxStats {
     // (upper bound moved forward), `extension_fast_hits` the subset that the
     // commit-epoch filter admitted without walking the read set, and
     // `validation_fast_hits` commit-time validations skipped the same way.
+    // Fast hits happen only in attempts that began after the engine armed
+    // its stripes (SnapshotEngine::filter_armed()).
     std::uint64_t extensions = 0;
     std::uint64_t extension_fast_hits = 0;
     std::uint64_t validation_fast_hits = 0;
@@ -110,7 +112,9 @@ class TxStats {
     // walking the read set (extension_fast_hits + validation_fast_hits,
     // derived at read time); `stripe_walks` the times the comparison found a
     // touched stripe bumped and forced the O(R) walk (a disjoint writer in
-    // another stripe moves neither). Both 0 with the filter off.
+    // another stripe moves neither). Both count armed attempts only: an
+    // attempt that began before the engine armed its stripes walks without
+    // consulting them and counts in neither. Both 0 with the filter off.
     std::uint64_t stripe_fast_hits = 0;
     std::uint64_t stripe_walks = 0;
 
@@ -322,6 +326,17 @@ class IrrevGate {
         // context enrolled after this scan starts raises its flag only
         // after enrolling, hence after the token was set, so it stays out
         // too.
+        wait_flags_down();
+    }
+
+    // Waits until every enrolled flag has been observed at 0 (seq_cst
+    // loads): every update commit whose flag was up when the scan reached
+    // it has finished or rolled back, and the caller happens-after it. The
+    // caller must hold no lock word and be outside any commit. Escalation
+    // drains through it after setting the token; arming the epoch stripes
+    // after moving the filter state off -> arming
+    // (SnapshotContext::arm_stripes).
+    void wait_flags_down() {
         std::lock_guard<std::mutex> g(mu_);
         for (const auto& f : flags_) {
             std::uint64_t spins = 0;
@@ -380,6 +395,8 @@ struct TokenGuard {
 // shows up at ~6ns/read on the hot path. Here the hot path is one
 // predictable branch plus an indexed store; growth is outlined and cold.
 // Capacity persists across clear(), so the steady state never allocates.
+// Both engines' read sets are such logs: one entry per read, duplicates
+// kept (DESIGN.md "Read log").
 template <typename T>
 class FlatVec {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -401,6 +418,15 @@ class FlatVec {
     const T* begin() const { return data_.get(); }
     const T* end() const { return data_.get() + n_; }
 
+    // Applies `f` to every entry in order until it returns false; returns
+    // whether every entry passed.
+    template <typename F>
+    bool all_of(F&& f) const {
+        for (const T& e : *this)
+            if (!f(e)) return false;
+        return true;
+    }
+
  private:
     __attribute__((noinline)) void grow() {
         const std::uint32_t cap = cap_ == 0 ? 64 : cap_ * 2;
@@ -415,48 +441,50 @@ class FlatVec {
     std::uint32_t cap_ = 0;
 };
 
-// Open-addressing hash table keyed by pointer, the one table behind every
-// hashed per-attempt set: the LSA read set (keyed by the read's TVar) and
-// the write-set indices (PtrIndex below). The LSA read set IS such a
-// table: nothing ever needs the reads in insertion order (try_extend and
-// commit validation iterate in any order, rollback never
-// touches them), so keeping a side index next to an append array would
-// double the per-read store traffic for nothing. One probe answers
-// "already present?" and, on a miss, leaves the landing slot staged so
-// insertion is a single store. clear() is a generation bump (u32; a wrap
-// triggers one hard reset every 4G transactions), and capacity persists,
-// so the steady state never allocates or memsets.
-//
-// E is a trivially copyable entry whose last field is `std::uint32_t gen`
-// (live iff it equals the table's generation) and whose key() returns the
-// key pointer; kKeyShift drops the key's alignment zeros before hashing.
-template <typename E, unsigned kKeyShift>
-class PtrTable {
+// Open-addressing map from a pointer to a 32-bit payload (write-set
+// positions, owned orecs). find_or_stage remembers where an absent key's
+// probe ended, so the hot "miss then insert" pattern costs a single probe
+// walk. clear() is a generation bump (u32; a wrap triggers one hard reset
+// every 4G transactions), and capacity persists, so the steady state
+// never allocates or memsets.
+class PtrIndex {
  public:
-    using Entry = E;
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
     void clear() {
         if (__builtin_expect(++gen_ == 0, 0)) hard_reset();
-        // Capacity is a high-water mark, and all_of scans it in full -- so
-        // one huge read-only transaction would tax every later small
-        // transaction on this context. Shrink once the table has been
-        // nearly empty for a sustained stretch (hysteresis avoids
-        // realloc churn under alternating big/small transactions).
-        if (__builtin_expect(cap_ > 64 && size_ * 16 < cap_, 0)) {
-            if (++small_streak_ >= 128) shrink();
-        } else {
-            small_streak_ = 0;
-        }
         size_ = 0;
     }
 
-    std::uint32_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    // Probes for `key`: its live entry, or nullptr with the landing slot
-    // staged for commit_stage (valid until the next probe or clear).
-    __attribute__((always_inline)) inline Entry* find_or_stage(
+    // The mapped value, or kNone with the landing bucket staged for a
+    // subsequent commit_stage (valid until the next probe or clear).
+    __attribute__((always_inline)) inline std::uint32_t find_or_stage(
         const void* key) {
+        const Entry* e = probe(key);
+        return e != nullptr ? e->val : kNone;
+    }
+
+    // Inserts at the bucket the last find_or_stage miss landed on.
+    __attribute__((always_inline)) inline void commit_stage(
+        const void* key, std::uint32_t val) {
+        entries_[stage_] = Entry{key, val, gen_};
+        ++size_;
+    }
+
+    void insert(const void* key, std::uint32_t val) {
+        if (Entry* e = probe(key)) e->val = val;
+        else commit_stage(key, val);
+    }
+
+ private:
+    struct Entry {
+        const void* key;
+        std::uint32_t val;
+        std::uint32_t gen;  // live iff it equals the index's generation
+    };
+
+    // The live entry for `key`, or nullptr with the landing slot staged.
+    __attribute__((always_inline)) inline Entry* probe(const void* key) {
         if (__builtin_expect((size_ + 1) * 4 > cap_ * 3, 0)) grow();
         std::size_t i = slot_of(key);
         for (;;) {
@@ -465,77 +493,42 @@ class PtrTable {
                 stage_ = i;
                 return nullptr;
             }
-            if (e.key() == key) return &e;
+            if (e.key == key) return &e;
             i = (i + 1) & mask_;
         }
     }
 
-    // Inserts an entry built from `fields` (every field but gen, in order)
-    // at the slot the last find_or_stage miss landed on.
-    template <typename... Fields>
-    __attribute__((always_inline)) inline void commit_stage(
-        Fields... fields) {
-        entries_[stage_] = Entry{fields..., gen_};
-        ++size_;
-    }
-
-    // Applies `f` to every live entry until it returns false; returns
-    // whether every entry passed. Iteration order is table order.
-    template <typename F>
-    bool all_of(F&& f) const {
-        for (std::size_t i = 0; i < cap_; ++i) {
-            const Entry& e = entries_[i];
-            if (e.gen == gen_ && !f(e)) return false;
-        }
-        return true;
-    }
-
- private:
     std::size_t slot_of(const void* key) const {
-        // Fibonacci hashing on the key with its alignment zeros shifted
-        // out.
-        const auto h = static_cast<std::uint64_t>(
-                           reinterpret_cast<std::uintptr_t>(key) >>
-                           kKeyShift) *
-                       0x9E3779B97F4A7C15ull;
+        // Fibonacci hashing on the key with its 16-byte alignment zeros
+        // shifted out.
+        const auto h =
+            static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(key) >>
+                                       4) *
+            0x9E3779B97F4A7C15ull;
         return static_cast<std::size_t>(h >> shift_) & mask_;
-    }
-
-    void resize(std::size_t cap) {
-        cap_ = cap;
-        entries_ = std::make_unique<Entry[]>(cap_);  // zeroed: gen 0 = dead
-        mask_ = cap_ - 1;
-        shift_ = 1;
-        while ((std::size_t{1} << (64 - shift_)) > cap_) ++shift_;
-        gen_ = 1;
     }
 
     __attribute__((noinline)) void grow() {
         auto old = std::move(entries_);
         const std::size_t old_cap = cap_;
         const std::uint32_t live = gen_;
-        resize(cap_ == 0 ? 64 : cap_ * 2);
+        cap_ = cap_ == 0 ? 64 : cap_ * 2;
+        entries_ = std::make_unique<Entry[]>(cap_);  // zeroed: gen 0 = dead
+        mask_ = cap_ - 1;
+        shift_ = 1;
+        while ((std::size_t{1} << (64 - shift_)) > cap_) ++shift_;
+        gen_ = 1;
         for (std::size_t i = 0; i < old_cap; ++i) {
             if (old[i].gen != live) continue;
-            std::size_t j = slot_of(old[i].key());
+            std::size_t j = slot_of(old[i].key);
             while (entries_[j].gen == gen_) j = (j + 1) & mask_;
-            entries_[j] = old[i];
-            entries_[j].gen = gen_;
+            entries_[j] = Entry{old[i].key, old[i].val, gen_};
         }
     }
 
     void hard_reset() {
         for (std::size_t i = 0; i < cap_; ++i) entries_[i].gen = 0;
         gen_ = 1;
-    }
-
-    // Called from clear() with size_ entries about to be discarded anyway,
-    // so no rehash: just drop to a capacity sized for the recent traffic.
-    __attribute__((noinline)) void shrink() {
-        std::size_t cap = 64;
-        while (cap < std::size_t{size_} * 8) cap *= 2;
-        resize(cap);
-        small_streak_ = 0;
     }
 
     std::unique_ptr<Entry[]> entries_;
@@ -545,50 +538,22 @@ class PtrTable {
     std::size_t stage_ = 0;
     std::uint32_t size_ = 0;
     std::uint32_t gen_ = 1;
-    std::uint32_t small_streak_ = 0;
-};
-
-// Map from a pointer to a 32-bit payload (write-set positions, owned
-// orecs). find_or_stage remembers where an absent key's probe ended, so
-// the hot "miss then insert" pattern costs a single probe walk.
-struct IndexEntry {
-    const void* k;
-    std::uint32_t val;
-    std::uint32_t gen;
-    const void* key() const { return k; }
-};
-
-class PtrIndex {
- public:
-    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
-    void clear() { table_.clear(); }
-
-    // The mapped value, or kNone with the landing bucket staged for a
-    // subsequent commit_stage (valid until the next probe or clear).
-    __attribute__((always_inline)) inline std::uint32_t find_or_stage(
-        const void* key) {
-        const IndexEntry* e = table_.find_or_stage(key);
-        return e != nullptr ? e->val : kNone;
-    }
-
-    // Inserts at the bucket the last find_or_stage miss landed on.
-    __attribute__((always_inline)) inline void commit_stage(
-        const void* key, std::uint32_t val) {
-        table_.commit_stage(key, val);
-    }
-
-    void insert(const void* key, std::uint32_t val) {
-        if (IndexEntry* e = table_.find_or_stage(key)) e->val = val;
-        else table_.commit_stage(key, val);
-    }
-
- private:
-    PtrTable<IndexEntry, 4> table_;
 };
 
 template <typename Engine, typename Tx, typename Cfg, typename Sets>
 class SnapshotContext;
+
+// The epoch stripes' sticky state (DESIGN.md "Stripes on demand"). Off,
+// update commits bump no stripe and every attempt validates by walking its
+// read log; on, the filter runs as DESIGN.md "Striped epoch soundness"
+// describes. Arming is the one-way switch between them: commits that
+// load `arming` already bump, and `on` is stored only once every commit
+// that could have loaded `off` has finished.
+enum FilterState : std::uint32_t {
+    kFilterOff = 0,
+    kFilterArming,
+    kFilterOn,
+};
 
 // Engine shell: the time base, the epoch stripes, the irrevocability gate
 // and the registry of every context's stats block. LsaStm and OrecStm
@@ -598,6 +563,14 @@ class SnapshotEngine {
  public:
     SnapshotEngine(const SnapshotEngine&) = delete;
     SnapshotEngine& operator=(const SnapshotEngine&) = delete;
+
+    // An attempt whose walk over an unarmed read log covers this many
+    // entries (an extension or a commit validation) asks its context to
+    // arm the stripes once the attempt ends. Armed, every read pays a
+    // stripe touch, about what a walk pays per entry, and every update
+    // commit a shared bump: the filter pays back only where long logs
+    // are walked repeatedly (DESIGN.md "Stripes on demand").
+    static constexpr std::uint32_t kArmWalk = 256;
 
     // Aggregate counters over every context ever created.
     TxStats collected_stats() const {
@@ -627,6 +600,14 @@ class SnapshotEngine {
     // for tests and instrumentation.
     bool irrevocable_active() const { return irrev_gate_.active(); }
 
+    // Whether the epoch stripes are armed (sticky once true; never with
+    // epoch_filter off). Attempts that begin after this reads true touch
+    // and trust the stripes; exposed for tests and instrumentation.
+    bool filter_armed() const {
+        return filter_state_.word.load(std::memory_order_acquire) ==
+               kFilterOn;
+    }
+
  protected:
     // The handle is held by value: registry-made bases stay alive through
     // it, wrapped ones borrow (the concrete object must outlive the STM).
@@ -648,6 +629,11 @@ class SnapshotEngine {
     // their read set touched. filter_stripes=1 degenerates to the single
     // commit-epoch word.
     EpochStripes epoch_stripes_;
+    // FilterState: read once by every attempt at begin and by every update
+    // commit after its last lock, written at most twice: its own line.
+    struct alignas(64) {
+        std::atomic<std::uint32_t> word{kFilterOff};
+    } filter_state_;
     // Irrevocability gate (token + per-context in-commit flags); an
     // update commit writes only its own flag, never the token line.
     IrrevGate irrev_gate_;
@@ -700,9 +686,9 @@ class SnapshotTx {
     std::uint64_t snapshot_lower() const { return lower_; }
     std::uint64_t snapshot_upper() const { return upper_; }
 
-    // Set sizes: distinct TVars read (LSA) or one entry per read (the orec
-    // engine's append-only log), distinct TVars or granules written;
-    // exposed for tests and instrumentation.
+    // Set sizes: one entry per read (both engines' read sets are
+    // append-only logs), distinct TVars or granules written; exposed for
+    // tests and instrumentation.
     std::size_t read_set_size() const { return sets_->reads.size(); }
     std::size_t write_set_size() const { return sets_->writes.size(); }
 
@@ -715,8 +701,10 @@ class SnapshotTx {
     friend class SnapshotContext;
 
     // Starts an attempt on context `c` (a SnapshotContext-derived class):
-    // resets the pooled access sets and anchors `upper` at the present.
-    // Per-stripe epoch snapshots are taken lazily at the stripe's first
+    // resets the pooled access sets, reads the filter state once, and
+    // anchors `upper` at the present. Only an attempt that reads `on`
+    // touches and trusts the stripes (DESIGN.md "Stripes on demand").
+    // Its per-stripe epoch snapshots are taken lazily at the stripe's first
     // touch, always BEFORE the touched location's version-word load
     // (touch_stripe in the read path): a writer that commits between
     // snapshot and admission shows up as a stripe mismatch (false
@@ -733,8 +721,12 @@ class SnapshotTx {
           gate_(c.gate_),
           commit_flag_(c.commit_flag_),
           gate_id_(c.gate_id_),
+          filter_state_(c.filter_state_),
+          arm_request_(&c.arm_requested_),
           token_held_(&c.token_held_),
-          irrevocable_(c.token_held_) {
+          irrevocable_(c.token_held_),
+          stripes_on_(filter_state_->load(std::memory_order_acquire) ==
+                      kFilterOn) {
         sets_->reset();
         CHRONOSTM_FP_SINK(&stats_->injected_faults);
         upper_ = clk_.get_time();
@@ -821,13 +813,14 @@ class SnapshotTx {
     // data CONFLICT -- per the abort taxonomy in DESIGN.md, backoff
     // resolves it and the retry must not drain batched/sharded stamp
     // blocks with a forced draw).
+    // An unarmed attempt skips the filter and walks.
     bool try_extend() {
         extend_conflict_ = false;
         const std::uint64_t nu =
             std::min(clk_.get_time(), self().extension_cap());
         if (nu <= upper_) return false;
-        if (cfg_.epoch_filter) {
-            std::uint64_t fresh[EpochStripes::kMaxStripes];
+        std::uint64_t fresh[EpochStripes::kMaxStripes];
+        if (stripes_on_) {
             if (stripes_clean(fresh)) {
                 upper_ = nu;
                 bump(stats_->extensions);
@@ -835,22 +828,26 @@ class SnapshotTx {
                 return true;
             }
             bump(stats_->stripe_walks);
-            if (!self().walk_read_set()) {
-                extend_conflict_ = true;
-                return false;
-            }
-            upper_ = nu;
-            reanchor_stripes(fresh);
-            bump(stats_->extensions);
-            return true;
+        } else {
+            note_unarmed_walk();
         }
         if (!self().walk_read_set()) {
             extend_conflict_ = true;
             return false;
         }
         upper_ = nu;
+        if (stripes_on_) reanchor_stripes(fresh);
         bump(stats_->extensions);
         return true;
+    }
+
+    // An unarmed attempt is about to walk its whole read log: a long one
+    // asks the context to arm the stripes after the attempt ends
+    // (SnapshotContext::arm_stripes). Never with the filter off.
+    void note_unarmed_walk() {
+        if (sets_->reads.size() >= SnapshotEngine<Cfg>::kArmWalk &&
+            cfg_.epoch_filter)
+            *arm_request_ = true;
     }
 
     // Cold continuation of a read that found a too-new version and has no
@@ -934,9 +931,10 @@ class SnapshotTx {
     }
 
     // The middle of an update commit, run with the whole write set locked:
-    // bump the write set's stripes, draw the commit stamp, validate the
-    // read set, and settle freshness. Returns false when the attempt must
-    // roll back (commit_stamp_stale_ then says whether it was freshness).
+    // bump the write set's stripes (unless the filter state reads off),
+    // draw the commit stamp, validate the read set, and settle freshness.
+    // Returns false when the attempt must roll back (commit_stamp_stale_
+    // then says whether it was freshness).
     // `valid(entry)` tells whether a read-set entry is still the admitted
     // version, including the engine's own-lock test; `pre_stamp()` is the
     // engine's failpoint site in front of the stamp draw.
@@ -954,11 +952,20 @@ class SnapshotTx {
         // set also touched, the fetch_add return doubles as a cheap
         // cleanliness pre-check (a foreign bump since our snapshot shows
         // up as prev != snap).
+        //
+        // The filter state is loaded after the gate raised our flag and
+        // after our last lock, seq_cst: a commit that reads `off` is one
+        // that arming drains before it stores `on`, so no armed attempt can
+        // miss its unbumped write (DESIGN.md "Stripes on demand"). The
+        // token holder raised no flag, so it always bumps. An unarmed
+        // attempt touched no stripe, so it starts unclean and walks: an
+        // empty signature must never pass for a clean one.
         const auto& sc = sets_->stripes;
-        bool epoch_clean = false;
+        bool epoch_clean = stripes_on_;
         std::uint64_t wsig = 0;  // stripes this commit bumped
-        if (cfg_.epoch_filter) {
-            epoch_clean = true;
+        if (cfg_.epoch_filter &&
+            (irrevocable_ ||
+             filter_state_->load(std::memory_order_seq_cst) != kFilterOff)) {
             for (const auto& rec : sets_->writes) {
                 const unsigned s =
                     stripes_->stripe_of(Engine::write_key(rec));
@@ -1025,7 +1032,10 @@ class SnapshotTx {
             reads_valid = true;
             bump(stats_->validation_fast_hits);
         } else {
-            if (cfg_.epoch_filter) bump(stats_->stripe_walks);
+            if (stripes_on_)
+                bump(stats_->stripe_walks);
+            else
+                note_unarmed_walk();
             reads_valid = sets_->reads.all_of(valid);
         }
         if (!reads_valid) return false;
@@ -1060,11 +1070,16 @@ class SnapshotTx {
     IrrevGate* gate_;
     CommitFlag* commit_flag_;
     const void* gate_id_;
+    const std::atomic<std::uint32_t>* filter_state_;  // FilterState word
+    bool* arm_request_;  // owning context's pending arm request
     // Owning context's token flag: true while the context holds the
     // engine-global irrevocability token (it survives aborted attempts,
     // so the retry of a failed escalation reruns irrevocably).
     bool* token_held_;
     bool irrevocable_ = false;
+    // The filter state read at begin was `on`: this attempt touches
+    // stripes and takes the stripe fast paths. Fixed for the attempt.
+    bool stripes_on_;
     std::uint64_t lower_ = 0;
     std::uint64_t upper_ = 0;
     // Seniority: the begin stamp of the first attempt of the enclosing
@@ -1126,6 +1141,7 @@ class SnapshotContext {
             } catch (const AbortTx& abort) {
                 bump(stats_->aborts);
                 freshness = abort.freshness;
+                if (arm_requested_) arm_stripes();
             }
             freshness ? ++freshness_aborts : ++conflict_aborts;
             if (attempt + 1 >= cfg_.max_retries)
@@ -1186,17 +1202,36 @@ class SnapshotContext {
     // valid for one attempt: reads/writes may throw detail::AbortTx, and
     // txn_commit reports success. Statistics are counted like run() does.
     bool txn_commit(Tx& tx) {
-        if (tx.commit()) {
+        const bool committed = tx.commit();
+        if (committed) {
             bump(stats_->commits);
             if (tx.irrevocable_) bump(stats_->irrevocable_commits);
             if (token_held_) {
                 gate_->release();
                 token_held_ = false;
             }
-            return true;
+        } else {
+            bump(stats_->aborts);
         }
-        bump(stats_->aborts);
-        return false;
+        if (arm_requested_) arm_stripes();
+        return committed;
+    }
+
+    // Serves an arm request (SnapshotTx::note_unarmed_walk) once the
+    // attempt that made it has ended: this context holds no lock word and
+    // its commit flag is down. The context whose CAS moves the state off
+    // -> arming waits until every commit flag has been seen down, then
+    // stores `on`; any commit that loaded `off` had its flag up, so it has
+    // published before an attempt can read `on` (DESIGN.md "Stripes on
+    // demand"). Other requests find the state moved and drop out.
+    __attribute__((noinline)) void arm_stripes() {
+        arm_requested_ = false;
+        std::uint32_t s = kFilterOff;
+        if (!filter_state_->compare_exchange_strong(
+                s, kFilterArming, std::memory_order_seq_cst))
+            return;
+        gate_->wait_flags_down();
+        filter_state_->store(kFilterOn, std::memory_order_seq_cst);
     }
 
     TxStats stats() const {
@@ -1222,6 +1257,7 @@ class SnapshotContext {
           dev_(2 * eng.tbase_.deviation()),
           stats_(std::make_shared<StatsBlock>()),
           stripes_(&eng.epoch_stripes_),
+          filter_state_(&eng.filter_state_.word),
           gate_(&eng.irrev_gate_),
           commit_flag_(gate_->enroll()),
           gate_id_(gate_id) {
@@ -1236,6 +1272,7 @@ class SnapshotContext {
     std::uint64_t dev_;
     std::shared_ptr<StatsBlock> stats_;
     EpochStripes* stripes_;
+    std::atomic<std::uint32_t>* filter_state_;  // the engine's FilterState
     IrrevGate* gate_;
     // This context's in-commit flag, enrolled with the gate (which owns
     // it, so it outlives the context).
@@ -1245,6 +1282,9 @@ class SnapshotContext {
     // token; survives aborted attempts so a failed escalation retries
     // irrevocably instead of re-queuing for the token.
     bool token_held_ = false;
+    // Set by an attempt whose unarmed walk reached kArmWalk entries;
+    // served by arm_stripes() once the attempt has ended.
+    bool arm_requested_ = false;
     Sets sets_;
 };
 

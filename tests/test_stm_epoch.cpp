@@ -4,7 +4,10 @@
 // O(R) read-set walk when extending or validating. The single-var cells
 // here behave identically at any stripe count (one write = one stripe
 // bump), so they pin the protocol itself; stripe-specific behavior lives
-// in test_stm_stripes.cpp. These tests force both sides of the filter:
+// in test_stm_stripes.cpp. The filter runs unarmed until a long walk
+// arms it (DESIGN.md "Stripes on demand"), so the fast-hit cells arm the
+// engine first (arm_stripes in test_util.hpp). These tests force both
+// sides of the filter:
 //
 //   * a deterministic forced fast hit on the LSA read path (batched
 //     counter, too-new version, time advanced by side stamps only), with
@@ -24,6 +27,8 @@
 //   * adversarial writer-vs-reader invariant sweeps over shared, batched
 //     and sharded time bases on both engines, filter on and off; filter
 //     off must report zero fast hits (the walk runs every time)
+//   * both concurrent oracles arm the stripes mid-run, so each covers
+//     unarmed attempts, the switch, and armed attempts
 
 #include <atomic>
 #include <chrono>
@@ -52,6 +57,7 @@ using Tx = Transaction;
 // the var's version must then admit the LATEST committed value.
 void check_forced_fast_hit_lsa() {
     LsaStm stm(tb::make("batched:B=8"));
+    arm_stripes<TVar<long>>(stm);
     TVar<long> v(1);
     auto wctx = stm.make_context();
     wctx.run([&](Tx& tx) { v.set(tx, 41); });
@@ -80,6 +86,7 @@ void check_forced_fast_hit_lsa() {
 // an epoch fast hit.
 void check_fast_hit_orec() {
     OrecStm stm(tb::make("shared"));
+    arm_stripes<WordVar<long>>(stm);
     WordVar<long> v(5);
     auto ctx = stm.make_context();
     OrecTransaction tx = ctx.txn_begin();
@@ -98,10 +105,12 @@ void check_fast_hit_orec() {
 }
 
 // A solo updater never races another bump between begin and commit, so
-// its commit-time validation is always the epoch fast path.
+// its commit-time validation is always the epoch fast path. The arming
+// commit bumps nothing, so the epoch counts the three updates alone.
 void check_validation_fast_hit() {
     {
         LsaStm stm(tb::make("shared"));
+        arm_stripes<TVar<long>>(stm);
         TVar<long> v(0);
         auto ctx = stm.make_context();
         for (int i = 0; i < 3; ++i)
@@ -114,6 +123,7 @@ void check_validation_fast_hit() {
     }
     {
         OrecStm stm(tb::make("shared"));
+        arm_stripes<WordVar<long>>(stm);
         WordVar<long> v(0);
         auto ctx = stm.make_context();
         for (int i = 0; i < 3; ++i)
@@ -229,6 +239,18 @@ void check_conflict_aborts_draw_nothing() {
               static_cast<unsigned long long>(st.aborts()));
 }
 
+// The concurrent oracles below run 80 ms: unarmed for the first half,
+// then armed through the real trigger while their threads keep going
+// (filter on), so each covers both modes and the switch between them.
+// With the filter off the engine must stay unarmed throughout.
+template <typename A>
+void arm_mid_run(A& adapter, bool filter) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    if (filter) arm_stripes<typename A::template Var<long>>(adapter.stm());
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    CHECK(adapter.stm().filter_armed() == filter);
+}
+
 // Adversarial sweep: a writer keeps x + y == kTotal while a side thread
 // hammers the time base (time moves without epoch bumps -> extension fast
 // hits race real conflicts) and readers re-read under forced extension
@@ -274,7 +296,7 @@ TxStats adversarial_cell(const std::string& spec, Cfg cfg) {
             }
         });
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    arm_mid_run<A>(adapter, cfg.epoch_filter);
     stop.store(true, std::memory_order_release);
     for (auto& t : threads) t.join();
 
@@ -340,7 +362,7 @@ void copier_race_cell(const std::string& spec, Cfg cfg) {
             prev_b = b;
         }
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    arm_mid_run<A>(adapter, cfg.epoch_filter);
     stop.store(true, std::memory_order_release);
     for (auto& t : threads) t.join();
 

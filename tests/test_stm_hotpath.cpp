@@ -1,7 +1,7 @@
 // Tier-1: the hot-path data structures behind the pooled transaction sets
 // -- write-set lookup across the inline-scan -> hash-index threshold
-// (detail::kInlineScan), write-after-write overwrite semantics,
-// read-after-read dedup, commit-time validation through the sorted write
+// (detail::kInlineScan), write-after-write overwrite semantics, the
+// append-only read log, commit-time validation through the sorted write
 // set, and set reuse across transactions (the structures are recycled, so
 // a stale entry leaking across attempts would show up here). Plus the
 // batched-counter time base: block-local stamp arithmetic and snapshot
@@ -62,29 +62,32 @@ void check_write_set_past_threshold() {
         CHECK_MSG(vars[i]->unsafe_peek() == 100 + i, "committed var %d", i);
 }
 
-void check_read_dedup() {
+// The read set is an append-only log: one entry per read, duplicates
+// kept (DESIGN.md "Read log"), so re-reads re-deliver the same value and
+// grow the log.
+void check_read_log() {
     LsaStm stm(tb::make("shared"));
     std::vector<std::unique_ptr<TVar<long>>> vars;
     for (int i = 0; i < kManyVars; ++i)
         vars.push_back(std::make_unique<TVar<long>>(7));
 
     auto ctx = stm.make_context();
-    // One var read many times collapses to one entry.
+    // One var read many times logs one entry per read.
     ctx.run([&](Tx& tx) {
         long s = 0;
         for (int i = 0; i < 100; ++i) s += vars[0]->get(tx);
         CHECK(s == 700);
-        CHECK_MSG(tx.read_set_size() == 1, "dup reads grew set to %zu",
+        CHECK_MSG(tx.read_set_size() == 100, "100 reads logged %zu",
                   tx.read_set_size());
     });
-    // Distinct vars each get exactly one entry, re-reads add none --
-    // including past the inline threshold.
+    // Distinct vars re-read over three rounds: one entry per read.
     ctx.run([&](Tx& tx) {
         for (int round = 0; round < 3; ++round)
             for (auto& v : vars) CHECK(v->get(tx) == 7);
-        CHECK_MSG(tx.read_set_size() == static_cast<std::size_t>(kManyVars),
-                  "expected %d entries, got %zu", kManyVars,
-                  tx.read_set_size());
+        CHECK_MSG(
+            tx.read_set_size() == static_cast<std::size_t>(3 * kManyVars),
+            "expected %d entries, got %zu", 3 * kManyVars,
+            tx.read_set_size());
     });
     // Sets are pooled per context: a fresh transaction starts empty.
     ctx.run([&](Tx& tx) {
@@ -93,6 +96,47 @@ void check_read_dedup() {
         CHECK(vars[1]->get(tx) == 7);
         CHECK(tx.read_set_size() == 1);
     });
+}
+
+// A re-read of a var that a foreign commit overwrote after the first read:
+// the re-read's extension fails on the logged word, and history serves
+// the version the first read admitted (DESIGN.md "Read log"). Before the
+// engine keeps history the same re-read aborts, and two such misses in a
+// row turn history on.
+void check_reread_after_overwrite() {
+    LsaStm stm(tb::make("shared"));
+    TVar<long> x(1);
+    auto reader = stm.make_context();
+    auto writer = stm.make_context();
+    const auto bump_x = [&] {
+        writer.run([&](Tx& t) { x.set(t, x.get(t) + 1); });
+    };
+    for (int i = 0; i < 2; ++i) {
+        Transaction tx = reader.txn_begin();
+        const long first = x.get(tx);
+        bump_x();
+        bool aborted = false;
+        try {
+            (void)x.get(tx);
+        } catch (const detail::AbortTx&) {
+            aborted = true;
+        }
+        CHECK_MSG(aborted, "re-read %d served %ld without history", i, first);
+    }
+    CHECK(stm.keeps_history());
+    bump_x();  // a commit that keeps history, so x's ring exists
+
+    Transaction tx = reader.txn_begin();
+    const long first = x.get(tx);
+    bump_x();
+    CHECK(x.unsafe_peek() == first + 1);
+    CHECK_MSG(x.get(tx) == first, "re-read saw %ld, first read %ld",
+              x.get(tx), first);
+    CHECK(tx.read_set_size() == 1);  // a history read logs nothing
+    CHECK(reader.txn_commit(tx));
+    const auto st = reader.stats();
+    CHECK(st.history_reads >= 1);
+    CHECK(st.history_misses == 2);
 }
 
 // Update transactions that read every var they write, with write sets well
@@ -257,7 +301,7 @@ void check_batched_counter_snapshots() {
                 ctx.run([&](BTx& tx) {
                     const long a1 = a.get(tx);
                     const long b1 = b.get(tx);
-                    const long a2 = a.get(tx);  // dedup'd re-read
+                    const long a2 = a.get(tx);  // re-read: same version
                     if (a1 + b1 != kTotal || a1 != a2)
                         violations.fetch_add(1, std::memory_order_relaxed);
                 });
@@ -279,7 +323,8 @@ void check_batched_counter_snapshots() {
 
 int main() {
     check_write_set_past_threshold();
-    check_read_dedup();
+    check_read_log();
+    check_reread_after_overwrite();
     check_large_update_txns_concurrent();
     check_wide_tvar_payload();
     check_batched_counter_stamps();

@@ -19,8 +19,19 @@
 //   * commit-time validation across interleaved committers in different
 //     stripes stays on the fast path at the default striping and walks
 //     at stripes=1
-//   * filter off: the stripe counters never move
+//   * filter off: the stripe counters never move, and the engine never
+//     arms
 //   * the stm::make() registry accepts stripes= as a common key
+//   * stripes on demand (DESIGN.md "Stripes on demand"): an unarmed
+//     engine's small commits bump nothing; a walk of kArmWalk entries arms
+//     it and a shorter one does not; an unarmed update whose read was
+//     overwritten aborts instead of passing an empty signature as clean;
+//     and arming waits for a commit that loaded `off` and is still in
+//     flight (a parked commit hook in every build, plus the
+//     lsa/orec_commit_pre_stamp failpoints in CHRONOSTM_FAILPOINTS builds)
+//
+// Every cell that pins fast hits or bumps arms the engine first
+// (arm_stripes in test_util.hpp); the filter is unarmed until then.
 //
 // Var placement: a 16KiB-aligned static buffer; offset 64 shares the
 // base's stripe (same 16KiB block), offset 32KiB is two stripes away at
@@ -28,14 +39,20 @@
 // 4 + 16 - 6 = 14). The tests still assert the stripe relation through
 // filter_stripe_of() rather than trusting the arithmetic.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <chronostm/core/lsa_stm.hpp>
 #include <chronostm/core/orec_stm.hpp>
 #include <chronostm/stm/facade.hpp>
+#include <chronostm/util/failpoints.hpp>
 
 #include "test_util.hpp"
 
@@ -90,6 +107,7 @@ void disjoint_writer_cell_lsa(unsigned stripes, bool expect_fast) {
     StmConfig cfg;
     cfg.filter_stripes = stripes;
     LsaStm stm(tb::make("shared"), cfg);
+    arm_stripes<TVar<long>>(stm);
     auto* a = new (lsa_buf) TVar<long>(1);
     auto* b = new (lsa_buf + 2 * kBlock) TVar<long>(10);
     if (stripes > 1)
@@ -123,6 +141,7 @@ void disjoint_writer_cell_orec(unsigned stripes, bool expect_fast) {
     OrecConfig cfg;
     cfg.filter_stripes = stripes;
     OrecStm stm(tb::make("shared"), cfg);
+    arm_stripes<WordVar<long>>(stm);
     auto* a = new (orec_buf) WordVar<long>(1);
     auto* b = new (orec_buf + 2 * kBlock) WordVar<long>(10);
     if (stripes > 1)
@@ -170,6 +189,7 @@ void check_alias_spurious_walk() {
     {
         StmConfig cfg;  // default 64 stripes
         LsaStm stm(tb::make("shared"), cfg);
+        arm_stripes<TVar<long>>(stm);
         auto* a = new (lsa_buf) TVar<long>(1);
         auto* c = new (lsa_buf + 64) TVar<long>(2);  // same 16KiB block
         CHECK(stm.filter_stripe_of(a) == stm.filter_stripe_of(c));
@@ -194,6 +214,7 @@ void check_alias_spurious_walk() {
     {
         OrecConfig cfg;
         OrecStm stm(tb::make("shared"), cfg);
+        arm_stripes<WordVar<long>>(stm);
         auto* a = new (orec_buf) WordVar<long>(1);
         auto* c = new (orec_buf + 64) WordVar<long>(2);
         CHECK(stm.filter_stripe_of(a) == stm.filter_stripe_of(c));
@@ -227,6 +248,7 @@ void check_stripe1_equivalence() {
         cfg.filter_stripes = 1;
         LsaStm stm(tb::make("shared"), cfg);
         CHECK(stm.filter_stripes() == 1);
+        arm_stripes<TVar<long>>(stm);
         TVar<long> v(0);
         auto ctx = stm.make_context();
         for (int i = 0; i < 3; ++i)
@@ -243,6 +265,7 @@ void check_stripe1_equivalence() {
         cfg.filter_stripes = 1;
         OrecStm stm(tb::make("shared"), cfg);
         CHECK(stm.filter_stripes() == 1);
+        arm_stripes<WordVar<long>>(stm);
         WordVar<long> v(5);
         auto ctx = stm.make_context();
         OrecTransaction tx = ctx.txn_begin();
@@ -268,6 +291,7 @@ void check_interleaved_commit_validation() {
         StmConfig cfg;
         cfg.filter_stripes = stripes;
         LsaStm stm(tb::make("shared"), cfg);
+        arm_stripes<TVar<long>>(stm);
         auto* a = new (lsa_buf) TVar<long>(0);
         auto* b = new (lsa_buf + 2 * kBlock) TVar<long>(0);
         if (stripes > 1)
@@ -325,6 +349,19 @@ void check_filter_off_counters() {
     CHECK(ws.stripe_fast_hits == 0 && ws.stripe_walks == 0);
     b->~TVar<long>();
     a->~TVar<long>();
+
+    // A walk long enough to arm an engine with the filter on arms nothing
+    // here: the filter stays off for good.
+    std::vector<std::unique_ptr<TVar<long>>> vars;
+    for (std::uint32_t i = 0; i < LsaStm::kArmWalk; ++i)
+        vars.push_back(std::make_unique<TVar<long>>(0));
+    rctx.run([&](Tx& t) {
+        long sum = 0;
+        for (auto& v : vars) sum += v->get(t);
+        vars[0]->set(t, sum + 1);
+    });
+    CHECK(!stm.filter_armed());
+    CHECK(stm.commit_epoch() == 0);
 }
 
 // The registry grammar: stripes= is a common key on every engine spec.
@@ -340,6 +377,187 @@ void check_registry_key() {
     CHECK_MSG(threw, "unknown key was not rejected (%d)", threw ? 1 : 0);
 }
 
+// ---- stripes on demand ----------------------------------------------------
+
+struct Lsa {
+    using Stm = LsaStm;
+    using Var = TVar<long>;
+    using Tx = Transaction;
+};
+
+struct Orec {
+    using Stm = OrecStm;
+    using Var = WordVar<long>;
+    using Tx = OrecTransaction;
+};
+
+template <typename E>
+using VarVec = std::vector<std::unique_ptr<typename E::Var>>;
+
+template <typename E>
+VarVec<E> make_vars(std::uint32_t n) {
+    VarVec<E> vars;
+    for (std::uint32_t i = 0; i < n; ++i)
+        vars.push_back(std::make_unique<typename E::Var>(1));
+    return vars;
+}
+
+// One read-only attempt that reads the first n vars, moves time, and
+// extends: the extension walks n log entries while unarmed.
+template <typename E, typename Ctx, typename Clock>
+void walk_readonly(Ctx& ctx, Clock& side, VarVec<E>& vars, std::uint32_t n) {
+    auto tx = ctx.txn_begin();
+    long sum = 0;
+    for (std::uint32_t i = 0; i < n; ++i) sum += vars[i]->get(tx);
+    CHECK(sum >= static_cast<long>(n));
+    side.get_new_ts();
+    CHECK(tx.try_extend_now());
+    CHECK(ctx.txn_commit(tx));
+}
+
+// An unarmed engine's update commits bump no stripe. A walk one entry
+// short of kArmWalk leaves it unarmed; a read-only extension walk of
+// kArmWalk entries arms it once that attempt has ended. Armed, a small
+// commit bumps its stripe and validates on the fast path.
+template <typename E>
+void check_arm_trigger(const char* name) {
+    constexpr std::uint32_t kWalk = E::Stm::kArmWalk;
+    typename E::Stm stm(tb::make("shared"));
+    auto ctx = stm.make_context();
+    auto side = stm.time_base().make_thread_clock();
+    auto vars = make_vars<E>(kWalk);
+
+    for (int i = 0; i < 10; ++i)
+        ctx.run([&](typename E::Tx& tx) {
+            vars[0]->set(tx, vars[0]->get(tx) + 1);
+        });
+    CHECK_MSG(stm.commit_epoch() == 0, "%s: unarmed commits bumped %llu",
+              name, static_cast<unsigned long long>(stm.commit_epoch()));
+
+    walk_readonly<E>(ctx, side, vars, kWalk - 1);
+    CHECK_MSG(!stm.filter_armed(), "%s: a short walk armed", name);
+    walk_readonly<E>(ctx, side, vars, kWalk);
+    CHECK_MSG(stm.filter_armed(), "%s: a kArmWalk walk did not arm", name);
+    CHECK(stm.commit_epoch() == 0);
+    auto st = ctx.stats();
+    CHECK(st.stripe_walks == 0 && st.stripe_fast_hits == 0);
+
+    ctx.run([&](typename E::Tx& tx) {
+        vars[1]->set(tx, vars[1]->get(tx) + 1);
+    });
+    CHECK(stm.commit_epoch() == 1);
+    st = ctx.stats();
+    CHECK(st.validation_fast_hits == 1 && st.stripe_walks == 0);
+}
+
+// An attempt that began unarmed touched no stripe. Its update commit must
+// walk and find its read overwritten -- an empty signature would pass the
+// stripe comparison vacuously. Once with the engine unarmed throughout
+// (the commit bumps nothing), once armed between the attempt's begin and
+// its commit (the commit bumps, the attempt still holds no snapshot).
+template <typename E>
+void check_no_empty_signature_hit(const char* name, bool arm_mid) {
+    typename E::Stm stm(tb::make("shared"));
+    alignas(64) typename E::Var a(1);
+    alignas(64) typename E::Var b(0);
+    auto ctx = stm.make_context();
+    auto other = stm.make_context();
+
+    auto tx = ctx.txn_begin();
+    const long va = a.get(tx);
+    other.run([&](typename E::Tx& t) { a.set(t, 2); });
+    if (arm_mid) arm_stripes<typename E::Var>(stm);
+    b.set(tx, va);
+    CHECK_MSG(!ctx.txn_commit(tx),
+              "%s: stale read committed (armed mid-attempt: %d)", name,
+              arm_mid ? 1 : 0);
+    CHECK(b.unsafe_peek() == 0);
+    const auto st = ctx.stats();
+    CHECK(st.validation_fast_hits == 0 && st.stripe_walks == 0);
+    CHECK(stm.filter_armed() == arm_mid);
+}
+
+// Arming must not store `on` while a commit that loaded `off` (and so
+// bumps nothing) is still in flight: an attempt that began armed could
+// otherwise admit a version that commit is about to change and validate
+// on clean stripes. The commit parks in the publish hook, after its state
+// load with its commit flag up; a second context then trips the trigger.
+void check_arming_waits_for_hooked_commit() {
+    std::atomic<bool> park{true}, parked{false}, release{false};
+    StmConfig cfg;
+    cfg.commit_publish_hook = [&] {
+        if (!park.exchange(false)) return;
+        parked.store(true);
+        while (!release.load()) std::this_thread::yield();
+    };
+    LsaStm stm(tb::make("shared"), cfg);
+    TVar<long> x(0);
+    std::thread w([&] {
+        auto ctx = stm.make_context();
+        ctx.run([&](Tx& t) { x.set(t, 1); });
+    });
+    while (!parked.load()) std::this_thread::yield();
+    std::thread armer([&] { arm_stripes<TVar<long>>(stm); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    CHECK_MSG(!stm.filter_armed(), "armed past a parked commit (%d)", 1);
+    release.store(true);
+    w.join();
+    armer.join();
+    CHECK(stm.filter_armed());
+    CHECK(x.unsafe_peek() == 1);
+    CHECK(stm.commit_epoch() == 0);  // both commits loaded `off`
+}
+
+#ifdef CHRONOSTM_FAILPOINTS
+bool shares_orec(LsaStm&, const void*, const void*) { return false; }
+bool shares_orec(OrecStm& stm, const void* a, const void* b) {
+    return stm.orec_of(a) == stm.orec_of(b);
+}
+
+// The same drain through the failpoint site between the state load (and
+// the bumps it decides) and the stamp draw: W sleeps there with its flag
+// up after loading `off`, and the arming context must wait it out.
+template <typename E>
+void check_arming_waits_for_parked_commit(fp::Site site, const char* name) {
+    typename E::Stm stm(tb::make("shared"));
+    typename E::Var x(0);
+    // The arming transaction's vars must not share x's orec: W holds that
+    // lock while parked, and a reader stuck behind it would escalate and
+    // commit irrevocably, without the validation walk that arms.
+    VarVec<E> vars, aliased;
+    while (vars.size() < E::Stm::kArmWalk) {
+        auto v = std::make_unique<typename E::Var>(1);
+        auto& into = shares_orec(stm, v.get(), &x) ? aliased : vars;
+        into.push_back(std::move(v));
+    }
+    fp::reset();
+    const std::uint64_t before = fp::total_faults();
+    fp::SiteConfig fc;
+    fc.stall_us = 400'000;
+    fp::arm_one_shot(site, fc, 1);
+
+    std::atomic<bool> w_done{false};
+    std::thread w([&] {
+        auto ctx = stm.make_context();
+        ctx.run([&](typename E::Tx& t) { x.set(t, 1); });
+        w_done.store(true);
+    });
+    // The fault counter bumps before the stall sleep: W is parked.
+    while (fp::total_faults() == before) std::this_thread::yield();
+    std::thread armer([&] { arm_stripes(stm, vars); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const bool armed = stm.filter_armed();
+    const bool done = w_done.load();
+    CHECK_MSG(done || !armed, "%s: armed while W was parked", name);
+    w.join();
+    armer.join();
+    fp::reset();
+    CHECK(stm.filter_armed());
+    CHECK(x.unsafe_peek() == 1);
+    CHECK(stm.commit_epoch() == 0);
+}
+#endif
+
 }  // namespace
 
 int main() {
@@ -350,6 +568,19 @@ int main() {
     check_interleaved_commit_validation();
     check_filter_off_counters();
     check_registry_key();
+    check_arm_trigger<Lsa>("lsa");
+    check_arm_trigger<Orec>("orec");
+    for (const bool arm_mid : {false, true}) {
+        check_no_empty_signature_hit<Lsa>("lsa", arm_mid);
+        check_no_empty_signature_hit<Orec>("orec", arm_mid);
+    }
+    check_arming_waits_for_hooked_commit();
+#ifdef CHRONOSTM_FAILPOINTS
+    check_arming_waits_for_parked_commit<Lsa>(fp::k_lsa_commit_pre_stamp,
+                                              "lsa");
+    check_arming_waits_for_parked_commit<Orec>(fp::k_orec_commit_pre_stamp,
+                                               "orec");
+#endif
     std::printf("test_stm_stripes: PASS\n");
     return 0;
 }
