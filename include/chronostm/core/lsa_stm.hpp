@@ -5,12 +5,13 @@
 // workloads, and drivers select the base at runtime -- by object or by
 // registry key -- instead of instantiating the whole core per base).
 //
-// The steps this engine shares with the orec engine -- snapshot extension,
-// the striped epoch filter, commit-time validation, the irrevocability
-// gate, the retry ladder and stats -- live in core/snapshot_core.hpp. This
-// file adds what is specific to per-TVar metadata: the lock word and
-// version history, read admission with the old-version fallback, commit
-// descriptors, and the contention managers.
+// The steps this engine shares with the orec engine -- the read log,
+// snapshot extension, the striped epoch filter, the foreign-lock wait, the
+// whole update commit, the irrevocability gate, the retry ladder and stats
+// -- live in core/snapshot_core.hpp. This file adds what is specific to
+// per-TVar metadata: the lock word and version history, read admission
+// with the old-version fallback, and the commit hooks that carry the
+// descriptors and the contention managers.
 //
 // Design, following the paper:
 //  * Each TVar carries a versioned lock word ("orec"). Unlocked it holds
@@ -30,11 +31,13 @@
 //    the most recent version valid at `upper`; when the current version is
 //    too new the snapshot is lazily extended to the present (validating the
 //    read set) before falling back to old versions.
-//  * Writes are buffered in a lazy write set; commit locks the write set in
-//    address order, draws one new timestamp from the time base, validates
-//    the read set, then publishes values with the new version timestamp.
-//    Only the owner writes back: a thread that meets a locked orec waits
-//    it out or arbitrates, it never finishes the commit itself.
+//  * Writes are buffered in a lazy write set; the core's commit locks the
+//    write set in address order (the descriptor pointer goes into each
+//    lock word), draws one new timestamp from the time base, validates the
+//    read set, then writes back through each record's apply (value and
+//    history ring) and publishes the new version words. Only the owner
+//    writes back: a thread that meets a locked word waits it out or
+//    arbitrates, it never finishes the commit itself.
 //  * Conflict resolution is delegated to a pluggable contention manager
 //    (StmConfig::contention_manager): suicide, polite (backoff), aggressive,
 //    timestamp. Managers that abort the enemy do so cooperatively by
@@ -57,12 +60,12 @@
 //    bump-allocated from a per-context arena (trivially destructible by
 //    construction, so arena reset is a pointer rewind) and type-erased
 //    through a plain function pointer instead of a vtable.
-//  * find_write -- on the read path, the write path, and commit-time read
-//    validation -- is a linear scan while the write set is small
+//  * find_write -- on the read and write paths -- and the core's lock-key
+//    lookup at commit are linear scans while the write set is small
 //    (<= detail::kInlineScan entries, cache-hot) and an open-addressing
-//    hash on TVar* beyond that, so large update transactions cost O(1) per
-//    lookup instead of O(W).
-//  * The read set is an append-only log of (TVar, admitted word) pairs,
+//    hash on the lock word's address beyond that, so large update
+//    transactions cost O(1) per lookup instead of O(W).
+//  * The read set is an append-only log of (lock word, admitted word) pairs,
 //    one per read, duplicates kept, as in the orec engine: a read is one
 //    append with no deduplication probe, and try_extend, commit-time
 //    validation and become_irrevocable walk the log densely. A re-read
@@ -76,13 +79,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -91,7 +92,6 @@
 #include <chronostm/stm/config.hpp>
 #include <chronostm/timebase/facade.hpp>
 #include <chronostm/util/failpoints.hpp>
-#include <chronostm/util/pause.hpp>
 
 namespace chronostm {
 
@@ -115,8 +115,8 @@ inline CmPolicy parse_contention_manager(const std::string& name) {
 }
 
 // The shared knobs (read_extension, lock_spin, epoch_filter, max_retries,
-// irrevocable_threshold, stall budgets) live in stm::CommonConfig; the old
-// spellings -- cfg.epoch_filter etc. -- are the inherited members.
+// irrevocable_threshold, commit_publish_hook) live in stm::CommonConfig;
+// the old spellings -- cfg.epoch_filter etc. -- are the inherited members.
 struct StmConfig : stm::CommonConfig {
     // Versions kept per TVar including the current one; 1 = no history
     // (TL2-like), larger values let long readers survive concurrent
@@ -125,11 +125,6 @@ struct StmConfig : stm::CommonConfig {
     unsigned max_versions = 8;
     // Conflict arbitration policy; see CmPolicy. Parsed once per LsaStm.
     std::string contention_manager = "polite";
-    // Test-only: invoked on the committing thread right after its
-    // descriptor is published as Committed and before it applies its write
-    // set -- lets tests freeze a decided committer that still holds every
-    // lock. Leave empty in production.
-    std::function<void()> commit_publish_hook;
 };
 
 namespace detail {
@@ -155,13 +150,14 @@ class TVarBase;
 // pointer -- no vtable, no virtual destructor -- so records are trivially
 // destructible and the arena can recycle them by rewinding a pointer.
 struct CommitRec {
-    TVarBase* var = nullptr;
+    std::atomic<std::uint64_t>* lock = nullptr;  // the TVar's lock word
     std::uint64_t locked_word = 0;  // unlocked word this lock replaced
     // Stores the value (and history rotation) but leaves the version word
-    // locked: commit() publishes every version word after one shared
-    // release fence.
+    // locked: the core's commit publishes every version word after one
+    // shared release fence.
     void (*apply)(CommitRec*, std::uint64_t new_ts, std::uint64_t old_ts,
                   unsigned keep_old) = nullptr;
+    std::uint32_t owner = 0;  // always 1 once locked: TVar locks never alias
 };
 
 // Bump allocator for write records, reused across attempts/transactions:
@@ -214,35 +210,14 @@ class WriteArena {
     std::size_t used_ = 0;
 };
 
-// One read-log entry: the TVar and the unlocked lock word its read
-// admitted. The log is append-only and keeps duplicates; validation walks
-// every entry (DESIGN.md "Read log").
-struct ReadEntry {
-    TVarBase* var;
-    std::uint64_t word;
-};
-using ReadSet = FlatVec<ReadEntry>;
-
-// Per-thread access-set storage, owned by the ThreadContext and reused by
-// every attempt of every transaction it runs: logs and indices keep their
-// capacity, the arena keeps its chunks. This is what makes the steady-state
-// hot path allocation-free.
-struct AccessSets {
-    ReadSet reads;
-    FlatVec<CommitRec*> writes;  // records live in `arena`
+// The core's access sets plus the arena the write records live in; the
+// arena keeps its chunks, so the steady-state hot path allocates nothing.
+struct AccessSets : SnapshotSets<CommitRec*> {
     WriteArena arena;
-    PtrIndex write_index;  // TVar* -> index into `writes` (pre-sort only)
-    // Striped epoch-filter state for the in-flight attempt: the read-set
-    // stripe signature plus the per-stripe epoch snapshots taken at first
-    // touch (core/epoch_stripes.hpp).
-    StripeScratch stripes;
 
     void reset() {
-        reads.clear();
-        writes.clear();
+        SnapshotSets::reset();
         arena.reset();
-        write_index.clear();
-        stripes.reset();
     }
 };
 
@@ -274,7 +249,8 @@ namespace detail {
 // instantiations. The lock word is the only shared-memory rendezvous point:
 // (version_ts << 1) unlocked, (TxDesc* | 1) locked. Not polymorphic -- a
 // vtable pointer would widen every TVar for nothing; nobody owns TVars
-// through this base.
+// through this base. Standard-layout with the lock word its only member,
+// so a write record's lock pointer converts back to its TVar.
 class TVarBase {
  public:
     TVarBase() = default;
@@ -287,6 +263,8 @@ class TVarBase {
     friend class chronostm::Transaction;
     std::atomic<std::uint64_t> vlock_{0};
 };
+static_assert(std::is_standard_layout_v<TVarBase>,
+              "a write record's lock pointer converts back to its TVarBase");
 
 // A TVar's old versions: one heap block, this header followed by `cap`
 // entries, allocated at the var's first commit that keeps history with
@@ -427,17 +405,15 @@ class Transaction
                              std::uint64_t new_ts, std::uint64_t old_ts,
                              unsigned keep_old) {
             auto* self = static_cast<WriteRec*>(rec);
-            static_cast<TVar<T>*>(self->var)->commit_write(
-                self->value, new_ts, old_ts, keep_old);
+            // The lock word is TVarBase's first member (see TVarBase).
+            auto* var = static_cast<TVar<T>*>(
+                reinterpret_cast<TVarBase*>(self->lock));
+            var->commit_write(self->value, new_ts, old_ts, keep_old);
         }
     };
 
     // Defined after ThreadContext, whose state it starts from.
     explicit Transaction(ThreadContext& ctx);
-
-    std::uint64_t my_lock_word() const {
-        return reinterpret_cast<std::uintptr_t>(desc_) | 1u;
-    }
 
     static detail::TxDesc* decode_owner(std::uint64_t locked_word) {
         return reinterpret_cast<detail::TxDesc*>(
@@ -456,69 +432,6 @@ class Transaction
                                               std::memory_order_relaxed);
     }
 
-    // Block on a foreign lock until it clears, arbitrating per the
-    // contention manager; returns the (unlocked) current word. Throws
-    // AbortTx when the manager decides this transaction should yield.
-    std::uint64_t wait_on_foreign_lock(TVarBase* var) {
-        std::uint64_t spins = 0;
-        const std::uint64_t budget =
-            cm_ == CmPolicy::kAggressive
-                ? 64ull * cfg_.lock_spin
-                : static_cast<std::uint64_t>(cfg_.lock_spin);
-        bool counted_stall = false;
-        for (;;) {
-            const std::uint64_t w =
-                var->vlock_.load(std::memory_order_acquire);
-            if (!(w & 1u)) return w;
-            // If a manager killed *us* while we were stuck here, yield now
-            // (only possible while we hold locks, i.e. during commit). The
-            // irrevocability-token holder is exempt: nothing may abort it.
-            if (killed()) throw detail::AbortTx{};
-            auto* owner = decode_owner(w);
-            // The token holder wins every arbitration: nobody kills it, and
-            // it never yields -- it outwaits the lock owner, which is
-            // guaranteed to finish because an irrevocable attempt only ever
-            // meets locks of already-in-flight commits.
-            const bool owner_irrevocable = gate_->held_by(owner);
-            switch (cm_) {
-                case CmPolicy::kSuicide:
-                    if (!irrevocable_) throw detail::AbortTx{};
-                    break;
-                case CmPolicy::kAggressive:
-                    if (!owner_irrevocable) try_kill(owner);
-                    break;
-                case CmPolicy::kTimestamp:
-                    if (!owner_irrevocable &&
-                        start_ts_ <
-                            owner->start_ts.load(std::memory_order_relaxed))
-                        try_kill(owner);
-                    break;
-                case CmPolicy::kPolite:
-                    break;
-            }
-            ++spins;
-            // Outliving the polite spin budget means the owner looks
-            // preempted, not merely slow; record the stall once per wait.
-            if (spins > cfg_.lock_spin && !counted_stall) {
-                counted_stall = true;
-                detail::bump(stats_->stall_waits);
-            }
-            if (spins > budget) {
-                if (irrevocable_) {
-                    spins = 0;  // unbounded wait; the owner must finish
-                } else {
-                    // Give up on the stalled owner and yield through the
-                    // contention seam (run() backs off, then escalates).
-                    detail::bump(stats_->stalled_aborts);
-                    throw detail::AbortTx{};
-                }
-            }
-            cpu_relax();
-            // Single-CPU hosts: the lock owner cannot run unless we yield.
-            if ((spins & 255u) == 0) std::this_thread::yield();
-        }
-    }
-
     template <typename T>
     T read(TVar<T>& var) {
         if (auto* rec = find_write(&var))
@@ -530,17 +443,8 @@ class Transaction
             throw detail::AbortTx{};
 
         if (irrevocable_) {
-            // Quiescent heap: no update commit can run while this
-            // transaction holds the token, so the current version IS the
-            // snapshot -- no admission check, no read-set bookkeeping, no
-            // seqlock recheck. Only lower_ advances, keeping the commit
-            // stamp above every version this attempt read (commit() pulls
-            // the time base forward if the drawn stamp lags it).
-            std::uint64_t w1 = var.vlock_.load(std::memory_order_acquire);
-            if (w1 & 1u) w1 = wait_on_foreign_lock(&var);
-            const T v = var.value_.load(std::memory_order_acquire);
-            lower_ = std::max(lower_, (w1 >> 1) + dev_);
-            return v;
+            admit_irrevocable(var.vlock_);
+            return var.value_.load(std::memory_order_acquire);
         }
 
         // Stripe snapshot BEFORE the admitting lock-word load: a writer
@@ -551,7 +455,7 @@ class Transaction
 
         for (;;) {
             std::uint64_t w1 = var.vlock_.load(std::memory_order_acquire);
-            if (w1 & 1u) w1 = wait_on_foreign_lock(&var);
+            if (w1 & 1u) w1 = wait_unlocked(&var.vlock_);
             const std::uint64_t wv = w1 >> 1;
             // Validity of the current version starts at wv, shrunk by the
             // pairwise stamp uncertainty dev_.
@@ -564,7 +468,7 @@ class Transaction
                 if (var.vlock_.load(std::memory_order_acquire) != w1)
                     continue;  // raced with a commit; retry the read
                 lower_ = std::max(lower_, wv + dev_);
-                sets_->reads.push_back({&var, w1});
+                sets_->reads.push_back({&var.vlock_, w1});
                 return v;
             }
             // Current version is newer than the snapshot. First choice:
@@ -608,30 +512,10 @@ class Transaction
         void* mem = sets_->arena.allocate(sizeof(WriteRec<T>),
                                           alignof(WriteRec<T>));
         auto* rec = new (mem) WriteRec<T>;
-        rec->var = &var;
+        rec->lock = &var.vlock_;
         rec->apply = &WriteRec<T>::do_apply;
         rec->value = std::move(v);
         append_write(static_cast<detail::CommitRec*>(rec));
-    }
-
-    // --- snapshot core hooks (core/snapshot_core.hpp) -------------------
-
-    // An old version read caps the snapshot at that version's end.
-    std::uint64_t extension_cap() const { return upper_cap_; }
-    bool reads_in_present() const { return !read_old_; }
-    void note_own_stamp(std::uint64_t) {}
-    static TVarBase* write_key(const detail::CommitRec* rec) {
-        return rec->var;
-    }
-
-    // Full O(R) read-set validation: every logged read still carries
-    // exactly the admitted (unlocked) word.
-    bool walk_read_set() const {
-        return sets_->reads.all_of(
-            [](const detail::ReadEntry& e) {
-                return e.var->vlock_.load(std::memory_order_acquire) ==
-                       e.word;
-            });
     }
 
     // Search the version history of `var` for a version covering the
@@ -673,198 +557,125 @@ class Transaction
     }
 
     // A read needed an old version and found no history. The second such
-    // miss in a row on this context (no commit in between) turns the
-    // engine's history switch on for good; see DESIGN.md "When history is
-    // kept" for why one miss is not enough.
+    // miss in a row on this context -- no commit counted in between --
+    // turns the engine's history switch on for good; see DESIGN.md "When
+    // history is kept" for why one miss is not enough.
     __attribute__((noinline)) bool note_history_miss() {
         detail::bump(stats_->history_misses);
-        if (++*misses_in_row_ >= 2 && cfg_.max_versions > 1 &&
+        const std::uint64_t commits =
+            stats_->commits.load(std::memory_order_relaxed);
+        if (*last_miss_ == commits && cfg_.max_versions > 1 &&
             !keep_history_->load(std::memory_order_relaxed))
             keep_history_->store(true, std::memory_order_relaxed);
+        *last_miss_ = commits;
         return false;
     }
 
-    // Write-set lookup for the read and write paths (commit-time
-    // validation uses find_write_sorted instead).
+    // Write-set lookup for the read and write paths.
     detail::CommitRec* find_write(TVarBase* var) {
-        const std::uint32_t i = find_write_pos(var);
+        const std::uint32_t i = find_write_pos(&var->vlock_);
         return i == detail::PtrIndex::kNone ? nullptr : sets_->writes[i];
     }
 
-    // Write-set lookup once commit() has address-sorted the set: binary
-    // search on the sorted order (the execution-time index holds stale
-    // positions past the sort and would cost a rebuild).
-    detail::CommitRec* find_write_sorted(TVarBase* var) {
-        auto& ws = sets_->writes;
-        auto* it = std::lower_bound(
-            ws.begin(), ws.end(), var,
-            [](const detail::CommitRec* rec, const TVarBase* v) {
-                return rec->var < v;
-            });
-        return it != ws.end() && (*it)->var == var ? *it : nullptr;
+    // --- snapshot core hooks (core/snapshot_core.hpp) -------------------
+
+    // An old version read caps the snapshot at that version's end.
+    std::uint64_t extension_cap() const { return upper_cap_; }
+    bool reads_in_present() const { return !read_old_; }
+    void note_own_stamp(std::uint64_t) {}
+    static const void* write_key(const detail::CommitRec* rec) {
+        return rec->lock;
     }
 
-    // Commit protocol: lock the write set in address order (descriptor
-    // pointer goes into each orec), check for a kill, draw the commit
-    // timestamp and validate reads, check again and publish Committed,
-    // then write back in one batch. Returns false on conflict or kill
-    // (caller counts the abort and retries).
-    bool commit() {
-        if (commit_read_only()) {
-            *misses_in_row_ = 0;
-            return true;
+    // A locked word names the owner's descriptor, so a waiter can
+    // arbitrate.
+    std::uint64_t lock_word(std::uint64_t) const {
+        return reinterpret_cast<std::uintptr_t>(desc_) | 1u;
+    }
+
+    // Every spin of a wait on a lock held by the descriptor in `w`: yield
+    // if a manager killed us while we were stuck here (only possible while
+    // we hold locks, i.e. during commit), then let the contention manager
+    // arbitrate. The token holder wins every arbitration: nobody kills it,
+    // and it never yields -- it outwaits the lock owner, which is
+    // guaranteed to finish because an irrevocable attempt only ever meets
+    // locks of already-in-flight commits. Aggressive just asked the owner
+    // to die and waits for its rollback, so it gets 64 times the budget.
+    std::uint64_t arbitrate(std::uint64_t w) {
+        if (killed()) throw detail::AbortTx{};
+        auto* owner = decode_owner(w);
+        const bool owner_irrevocable = gate_->held_by(owner);
+        switch (cm_) {
+            case CmPolicy::kSuicide:
+                if (!irrevocable_) throw detail::AbortTx{};
+                break;
+            case CmPolicy::kAggressive:
+                if (!owner_irrevocable) try_kill(owner);
+                return 64ull * cfg_.lock_spin;
+            case CmPolicy::kTimestamp:
+                if (!owner_irrevocable &&
+                    start_ts_ < owner->start_ts.load(std::memory_order_relaxed))
+                    try_kill(owner);
+                break;
+            case CmPolicy::kPolite:
+                break;
         }
-        auto& writes = sets_->writes;
-        // An update transaction that resorted to old versions cannot
-        // serialize at commit time. This is a freshness failure, not a
-        // data conflict: the snapshot fell back to history because it
-        // could not extend to the present, and on counter time bases the
-        // present only moves when stamps are drawn -- if every thread is
-        // stuck here nobody draws and get_time() stalls forever. Flag it
-        // so run() pulls the counter forward.
-        if (read_old_) {
-            commit_stamp_stale_ = true;
-            return false;
-        }
-
-        sort_writes();
-        detail::GateGuard gate_guard;
-        enter_gate(gate_guard);
-
-        auto* d = desc_;
-        d->start_ts.store(start_ts_, std::memory_order_relaxed);
-        d->status.store(detail::kTxLocking, std::memory_order_release);
-
-        std::size_t locked = 0;
-        try {
-            for (; locked < writes.size(); ++locked) {
-                auto* rec = writes[locked];
-                for (;;) {
-                    if (killed()) return rollback(locked);
-                    std::uint64_t w =
-                        rec->var->vlock_.load(std::memory_order_relaxed);
-                    if (w & 1u) {
-                        wait_on_foreign_lock(rec->var);
-                        continue;
-                    }
-                    if (rec->var->vlock_.compare_exchange_weak(
-                            w, my_lock_word(), std::memory_order_acq_rel,
-                            std::memory_order_relaxed)) {
-                        rec->locked_word = w;
-                        break;
-                    }
-                }
-            }
-        } catch (const detail::AbortTx&) {
-            return rollback(locked);
-        }
-
-        // Chaos harness: fake a committer preempted right after taking its
-        // last write lock, before anything is published.
-        (void)CHRONOSTM_FAILPOINT(lsa_commit_post_lock);
-
-        // Locks held: honor a kill that landed while locking, then draw
-        // the commit timestamp (stamp_and_validate). It MUST be drawn after
-        // the last lock is acquired -- see the stamp-order note above. The
-        // token holder ignores kills (a stale racer holding a descriptor
-        // pointer from an earlier attempt): nothing may abort it.
-        if (killed()) return rollback(writes.size());
-        std::uint64_t commit_ts;
-        if (!stamp_and_validate(
-                commit_ts,
-                [this](const detail::ReadEntry& e) {
-                    const std::uint64_t cur =
-                        e.var->vlock_.load(std::memory_order_acquire);
-                    if (cur == e.word) return true;
-                    if (cur == my_lock_word()) {
-                        // Locked by us; valid iff the version under our
-                        // lock is still the one we read. The sorted write
-                        // set makes this a binary search, so the validation
-                        // pass is O(R log W), not the seed's O(R*W) rescan.
-                        auto* rec = find_write_sorted(e.var);
-                        if (rec != nullptr && rec->locked_word == e.word)
-                            return true;
-                    }
-                    return false;
-                },
-                [] { (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_stamp); }))
-            return rollback(writes.size());
-
-        // Switch off (always, under max_versions = 1): keep no old version.
-        const unsigned keep_old =
-            keep_history_->load(std::memory_order_relaxed)
-                ? std::min(cfg_.max_versions - 1, detail::kMaxHistory)
-                : 0;
-        // One timestamp for the whole write set (stamping vars
-        // individually could tear the commit across the version history
-        // when the time base hands out tied stamps), bumped above every
-        // locked version for per-var monotonicity under TL2 sharing and
-        // coarse clocks.
-        std::uint64_t new_ts = commit_ts;
-        for (const auto* rec : writes)
-            new_ts = std::max(new_ts, (rec->locked_word >> 1) + 1);
-
-        // Last check, then the decision by plain store: a kill CAS that
-        // lands between the two is overwritten and loses, and its killer
-        // keeps waiting for our lock words like any other waiter.
-        if (killed()) return rollback(writes.size());
-        d->status.store(detail::kTxCommitted, std::memory_order_release);
-
-        if (cfg_.commit_publish_hook) cfg_.commit_publish_hook();
-        // Chaos harness: a committer parked here is decided but has
-        // applied nothing; waiters must tolerate or abort around it.
-        (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_writeback);
-
-        // Batched write-back, as in the orec engine: the data stores for
-        // the whole write set, then every version word, each pass behind
-        // one release fence instead of one fence per record.
-        // Fence #1: the (earlier) lock stores stay visible before any data
-        // store -- a reader that observes new data and rechecks the lock
-        // word must see the lock (see commit_write's seqlock note).
-        std::atomic_thread_fence(std::memory_order_release);
-        for (auto* rec : writes)
-            rec->apply(rec, new_ts, rec->locked_word >> 1, keep_old);
-        // Chaos harness: data applied, version words still locked.
-        (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_unlock);
-        // Fence #2: all data stores precede every version publish below
-        // ([atomics.fences]: fence-release paired with the readers'
-        // acquire loads of the version word). kFencedPublishOrder is
-        // relaxed except under TSan, which cannot model thread fences.
-        std::atomic_thread_fence(std::memory_order_release);
-        for (const auto* rec : writes)
-            rec->var->vlock_.store(new_ts << 1, kFencedPublishOrder);
-        d->status.store(detail::kTxIdle, std::memory_order_release);
-        *misses_in_row_ = 0;
-        return true;
+        return cfg_.lock_spin;
     }
 
     // Whether a contention manager killed this commit attempt; the token
-    // holder is never killed.
+    // holder ignores kills (a stale racer holding a descriptor pointer from
+    // an earlier attempt): nothing may abort it.
     bool killed() const {
         return !irrevocable_ &&
                desc_->status.load(std::memory_order_acquire) ==
                    detail::kTxKilled;
     }
 
-    // Abort path while holding the first `n` write-set locks: restore the
-    // saved words and retire the descriptor attempt.
-    bool rollback(std::size_t n) {
-        auto& writes = sets_->writes;
-        for (std::size_t i = 0; i < n; ++i) {
-            auto* rec = writes[i];
-            rec->var->vlock_.store(rec->locked_word,
-                                   std::memory_order_release);
-        }
+    // Publish seniority and open the kill window before the first lock.
+    void lock_begin() {
+        desc_->start_ts.store(start_ts_, std::memory_order_relaxed);
+        desc_->status.store(detail::kTxLocking, std::memory_order_release);
+    }
+
+    // Last kill check, then the decision by plain store: a kill CAS that
+    // lands between the two is overwritten and loses, and its killer keeps
+    // waiting for our lock words like any other waiter. With the history
+    // switch off (always, under max_versions = 1) no old version is kept.
+    bool decide() {
+        if (killed()) return false;
+        desc_->status.store(detail::kTxCommitted, std::memory_order_release);
+        keep_old_ = keep_history_->load(std::memory_order_relaxed)
+                        ? std::min(cfg_.max_versions - 1, detail::kMaxHistory)
+                        : 0;
+        return true;
+    }
+
+    // Retire the attempt, so a kill that landed cannot abort the next
+    // attempt's reads.
+    void on_rollback() {
         desc_->status.store(detail::kTxIdle, std::memory_order_release);
-        return false;
+    }
+
+    void apply(detail::CommitRec& rec, std::uint64_t new_ts) {
+        rec.apply(&rec, new_ts, rec.locked_word >> 1, keep_old_);
+    }
+
+    bool commit() {
+        return Core::commit(
+            [] { (void)CHRONOSTM_FAILPOINT(lsa_commit_post_lock); },
+            [] { (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_stamp); },
+            [] { (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_writeback); },
+            [] { (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_unlock); });
     }
 
     CmPolicy cm_;
     detail::TxDesc* desc_;
     std::atomic<bool>* keep_history_;  // LsaStm::keeps_history() flag
-    unsigned* misses_in_row_;
+    std::uint64_t* last_miss_;
     // Snapshot ceiling set by an old-version read (the version's end).
     std::uint64_t upper_cap_ = ~std::uint64_t{0};
+    unsigned keep_old_ = 0;  // old versions this commit keeps per var
     bool read_old_ = false;
 };
 
@@ -904,13 +715,13 @@ class ThreadContext
     CmPolicy cm_;
     std::shared_ptr<detail::TxDesc> desc_;
     std::atomic<bool>* keep_history_;
-    // Consecutive attempts whose read found no history; a commit resets it.
-    unsigned misses_in_row_ = 0;
+    // The context's commit count at its last history miss (none yet: ~0).
+    std::uint64_t last_miss_ = ~std::uint64_t{0};
 };
 
 inline Transaction::Transaction(ThreadContext& ctx)
     : Core(ctx), cm_(ctx.cm_), desc_(ctx.desc_.get()),
-      keep_history_(ctx.keep_history_), misses_in_row_(&ctx.misses_in_row_) {
+      keep_history_(ctx.keep_history_), last_miss_(&ctx.last_miss_) {
     // The snapshot's lower bound starts at the begin observation, not
     // at 0: read_old_version() must never serialize this transaction
     // before a version that provably ended before it began. Without

@@ -36,10 +36,12 @@
 //    cannot extend aborts where the TVar engine might serve an old version;
 //  * locks are TL2-style in-place bit sets (word | 1) that PRESERVE the
 //    version, not descriptor pointers -- so there is no contention-
-//    manager plumbing, just bounded spinning with stall
-//    detection on foreign locks. Commit-time read validation tells "locked
-//    by me" from "locked by an enemy holding the same version" through the
-//    commit's own ownership index, never through the word alone.
+//    manager plumbing: a waiter takes the core wait's polite arm. The
+//    core's commit runs unchanged; its hooks here only set the lock bit
+//    and merge partial granules at write-back. Commit-time read
+//    validation tells "locked by me" from "locked by an enemy holding the
+//    same version" through the core's lock-key lookup, never through the
+//    word alone.
 //
 // Memory access protocol (TSan-clean by construction): all transactional
 // data moves through 8-byte-aligned granules accessed with the __atomic
@@ -58,7 +60,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <type_traits>
 
 #include <chronostm/core/epoch_stripes.hpp>
@@ -66,19 +67,12 @@
 #include <chronostm/stm/config.hpp>
 #include <chronostm/timebase/facade.hpp>
 #include <chronostm/util/failpoints.hpp>
-#include <chronostm/util/pause.hpp>
 
 namespace chronostm {
 
-// The shared knobs (read_extension, lock_spin, stall budgets, max_retries,
-// irrevocable_threshold, epoch_filter) live in stm::CommonConfig; the old
-// spellings -- cfg.stall_ts_budget etc. -- are the inherited members. The
-// stalled-committer tolerance knobs are used here as described in
-// stm/config.hpp: once lock_spin polite spins are burnt the waiter anchors
-// the time base and keeps spinning until either the attempt budget
-// (stall_spin_factor * lock_spin total spins) runs out or the time base
-// advances past the anchor by stall_ts_budget stamps while the orec stays
-// locked; both trip wires abort through the contention seam.
+// The shared knobs (read_extension, lock_spin, max_retries,
+// irrevocable_threshold, epoch_filter, commit_publish_hook) live in
+// stm::CommonConfig; the old spellings are the inherited members.
 struct OrecConfig : stm::CommonConfig {
     // log2 of the orec-table size; 2^16 entries * 8 bytes = 512 KiB.
     // Smaller tables raise the false-conflict rate (see DESIGN.md for the
@@ -93,7 +87,7 @@ namespace detail {
 // write set is a FlatVec of records by value (sortable in place).
 struct OrecWriteRec {
     void* gran;                        // 8-aligned granule base
-    std::atomic<std::uint64_t>* orec;  // table entry guarding the granule
+    std::atomic<std::uint64_t>* lock;  // orec guarding the granule
     std::uint64_t value;               // mask-selected buffered bytes
     std::uint64_t locked_word;         // unlocked word the lock replaced
     std::uint32_t mask;                // bit i => byte i of value is live
@@ -114,17 +108,6 @@ inline std::uint64_t orec_merge(std::uint64_t mem, std::uint64_t val,
     const std::uint64_t lane = orec_lane_mask(m);
     return (mem & ~lane) | (val & lane);
 }
-
-// One read-log entry: the orec a read admitted and the unlocked word it
-// admitted under. The log is append-only and keeps duplicates, as TL2's
-// read set does: a read is one append, with no probe to deduplicate.
-// Validation walks every entry. Two entries for one orec never disagree
-// in a live transaction (DESIGN.md "Read log").
-struct OrecReadEntry {
-    std::atomic<std::uint64_t>* orec;
-    std::uint64_t word;
-};
-using OrecReadSet = FlatVec<OrecReadEntry>;
 
 // Stamps this context drew from the time base itself (commit stamps and
 // livelock-defense draws), most recent first on lookup. Time-base stamps
@@ -160,27 +143,9 @@ class RecentStamps {
     unsigned i_ = 0;
 };
 
-// Per-thread access-set storage for the orec engine, reused across
-// attempts and transactions (same allocation-free steady state as the
-// TVar engine's detail::AccessSets, which this mirrors). Write records are
-// held by value: they are fixed-size PODs, so no arena or type erasure is
-// needed.
-struct OrecAccessSets {
-    OrecReadSet reads;
-    FlatVec<OrecWriteRec> writes;
-    PtrIndex write_index;  // granule addr -> index into writes (pre-sort)
-    PtrIndex owned;        // orec -> owner-record index (commit phase only)
-    // Striped epoch-filter state for the in-flight attempt (the read-set
-    // stripe signature plus first-touch snapshots; core/epoch_stripes.hpp).
-    StripeScratch stripes;
-
-    void reset() {
-        reads.clear();
-        writes.clear();
-        write_index.clear();
-        stripes.reset();
-    }
-};
+// Write records are held by value: they are fixed-size PODs, so no arena
+// or type erasure is needed.
+using OrecAccessSets = SnapshotSets<OrecWriteRec>;
 
 }  // namespace detail
 
@@ -327,57 +292,36 @@ class OrecTransaction
         return rec.gran;
     }
 
-    // Full O(R) read-set validation against the current orec words.
-    bool walk_read_set() const {
-        return sets_->reads.all_of(
-            [](const detail::OrecReadEntry& e) {
-                return e.orec->load(std::memory_order_acquire) == e.word;
-            });
+    // An in-place lock keeps the version: locked is the unlocked word | 1.
+    static constexpr std::uint64_t lock_word(std::uint64_t w) { return w | 1u; }
+    // No descriptor to kill or arbitrate with: a waiter takes the polite
+    // arm of the wait, and no contention manager ever kills a committer.
+    std::uint64_t arbitrate(std::uint64_t) const { return cfg_.lock_spin; }
+    static constexpr bool killed() { return false; }
+    static void lock_begin() {}
+    static constexpr bool decide() { return true; }
+    static void on_rollback() {}
+
+    // Write-back of one granule. A partial record merges with memory: this
+    // thread holds the granule's orec, so nobody else may write any byte of
+    // it until the publish.
+    static void apply(detail::OrecWriteRec& rec, std::uint64_t) {
+        auto* gp = static_cast<std::uint64_t*>(rec.gran);
+        const std::uint64_t v =
+            rec.mask == 0xFFu
+                ? rec.value
+                : detail::orec_merge(__atomic_load_n(gp, __ATOMIC_RELAXED),
+                                     rec.value, rec.mask);
+        __atomic_store_n(gp, v, __ATOMIC_RELAXED);
     }
 
-    // Bounded wait for a foreign in-place lock to clear, with stall
-    // detection. No descriptor to kill: after cfg_.lock_spin
-    // polite spins the waiter anchors the time base (stall_waits) and
-    // tolerates the lock until either the total attempt budget runs out
-    // or the base advances stall_ts_budget stamps past the anchor while
-    // the orec stays locked -- the whole system committing around a lock
-    // that never moves proves the owner is preempted, not slow. Both trip
-    // wires abort through the contention seam (stalled_aborts) so run()'s
-    // ladder takes over. The irrevocability-token holder never aborts: it
-    // can only meet locks of already-in-flight commits, which are
-    // guaranteed to finish.
-    void wait_on_locked_orec(const std::atomic<std::uint64_t>* o) {
-        std::uint64_t spins = 0;
-        std::uint64_t anchor = 0;
-        bool stalled = false;
-        const std::uint64_t budget =
-            std::uint64_t{cfg_.lock_spin} *
-            std::max(2u, cfg_.stall_spin_factor);
-        while (o->load(std::memory_order_acquire) & 1u) {
-            ++spins;
-            if (spins > cfg_.lock_spin && !irrevocable_) {
-                if (!stalled) {
-                    stalled = true;
-                    anchor = clk_.get_time();
-                    detail::bump(stats_->stall_waits);
-                }
-                if (spins > budget ||
-                    ((spins & 63u) == 0 &&
-                     clk_.get_time() - anchor > cfg_.stall_ts_budget)) {
-                    detail::bump(stats_->stalled_aborts);
-                    throw detail::AbortTx{};
-                }
-            }
-            cpu_relax();
-            // Single-CPU hosts: the lock owner cannot run unless we yield.
-            if ((spins & 63u) == 0) std::this_thread::yield();
-        }
+    bool commit() {
+        return Core::commit(
+            [] { (void)CHRONOSTM_FAILPOINT(orec_commit_post_lock); },
+            [] { (void)CHRONOSTM_FAILPOINT(orec_commit_pre_stamp); },
+            [] { (void)CHRONOSTM_FAILPOINT(orec_commit_pre_writeback); },
+            [] { (void)CHRONOSTM_FAILPOINT(orec_commit_pre_unlock); });
     }
-
-    // --- commit ---------------------------------------------------------
-
-    bool commit();
-    void rollback();
 
     detail::RecentStamps* recent_;
     // The table pointer and mask are immutable for the STM's lifetime;
@@ -523,28 +467,13 @@ OrecTransaction::load_validated(const void* gran) {
 __attribute__((noinline)) inline std::uint64_t OrecTransaction::load_slow(
     const void* gran, std::atomic<std::uint64_t>* o) {
     if (irrevocable_) {
-        // Quiescent heap: no update commit can run while this transaction
-        // holds the token, so the current granule image IS the snapshot --
-        // no admission check, no read-set bookkeeping, no seqlock recheck.
-        // Only lower_ advances, keeping the commit stamp above every
-        // version this attempt read (commit() pulls the time base forward
-        // if the drawn stamp lags it).
-        std::uint64_t w1 = o->load(std::memory_order_acquire);
-        while (w1 & 1u) {
-            wait_on_locked_orec(o);
-            w1 = o->load(std::memory_order_acquire);
-        }
-        const std::uint64_t v = __atomic_load_n(
-            static_cast<const std::uint64_t*>(gran), __ATOMIC_ACQUIRE);
-        lower_ = std::max(lower_, (w1 >> 1) + dev_);
-        return v;
+        admit_irrevocable(*o);
+        return __atomic_load_n(static_cast<const std::uint64_t*>(gran),
+                               __ATOMIC_ACQUIRE);
     }
     for (;;) {
         std::uint64_t w1 = o->load(std::memory_order_acquire);
-        if (__builtin_expect(w1 & 1u, 0)) {
-            wait_on_locked_orec(o);
-            continue;
-        }
+        if (__builtin_expect(w1 & 1u, 0)) w1 = wait_unlocked(o);
         const std::uint64_t wv = w1 >> 1;
         // A stamp this context itself drew before the transaction began
         // carries no uncertainty at all: it is this thread's own earlier
@@ -592,141 +521,10 @@ inline void OrecTransaction::store_granule(void* gran,
     }
     detail::OrecWriteRec rec{};
     rec.gran = gran;
-    rec.orec = orec_of(gran);
+    rec.lock = orec_of(gran);
     std::memcpy(reinterpret_cast<unsigned char*>(&rec.value) + off, src, n);
     rec.mask = m;
     append_write(rec);
-}
-
-// Commit: lock the write set's orecs in granule-address order (in-place
-// bit set, version preserved), draw the commit stamp AFTER the last lock,
-// validate the read set exactly (words, not clocks), then publish data
-// and release every orec with the new version.
-inline bool OrecTransaction::commit() {
-    if (commit_read_only()) return true;
-    auto& ws = sets_->writes;
-    sort_writes();
-    detail::GateGuard gate_guard;
-    enter_gate(gate_guard);
-
-    // Lock phase. Granule-address order is deterministic across
-    // transactions; two granules of one transaction may still share an
-    // orec (table aliasing), which the ownership index turns into a
-    // single lock acquisition instead of a self-deadlock.
-    auto& owned = sets_->owned;
-    owned.clear();
-    try {
-        for (std::uint32_t i = 0; i < ws.size(); ++i) {
-            detail::OrecWriteRec& rec = ws[i];
-            const std::uint32_t prev = owned.find_or_stage(rec.orec);
-            if (prev != detail::PtrIndex::kNone) {
-                // Already locked by an earlier record of this commit:
-                // distinct granules aliasing one orec.
-                rec.locked_word = ws[prev].locked_word;
-                rec.owner = 0;
-                detail::bump(stats_->false_conflicts);
-                continue;
-            }
-            for (;;) {
-                std::uint64_t w = rec.orec->load(std::memory_order_relaxed);
-                if (w & 1u) {
-                    wait_on_locked_orec(rec.orec);
-                    continue;
-                }
-                if (rec.orec->compare_exchange_weak(
-                        w, w | 1u, std::memory_order_acq_rel,
-                        std::memory_order_relaxed)) {
-                    rec.locked_word = w;
-                    rec.owner = 1;
-                    owned.commit_stage(rec.orec, i);
-                    break;
-                }
-            }
-        }
-    } catch (const detail::AbortTx&) {
-        rollback();
-        return false;
-    }
-
-    // Chaos harness: fake a committer preempted right after taking its
-    // last orec lock, before anything is published.
-    (void)CHRONOSTM_FAILPOINT(orec_commit_post_lock);
-
-    std::uint64_t commit_ts;
-    if (!stamp_and_validate(
-            commit_ts,
-            [&](const detail::OrecReadEntry& e) {
-                const std::uint64_t cur =
-                    e.orec->load(std::memory_order_acquire);
-                if (cur == e.word) return true;
-                if (cur == (e.word | 1u)) {
-                    // Same version, lock bit set. A foreign committer
-                    // locking in place would present the same word, so
-                    // ownership is decided by this commit's own index,
-                    // never the word.
-                    const std::uint32_t i = owned.find_or_stage(e.orec);
-                    if (i != detail::PtrIndex::kNone &&
-                        ws[i].locked_word == e.word)
-                        return true;
-                }
-                return false;
-            },
-            [] { (void)CHRONOSTM_FAILPOINT(orec_commit_pre_stamp); })) {
-        rollback();
-        return false;
-    }
-
-    // One stamp for the whole write set, bumped above every locked
-    // version for per-orec monotonicity under coarse or tied stamps.
-    std::uint64_t new_ts = commit_ts;
-    for (const auto& rec : ws)
-        if (rec.owner)
-            new_ts = std::max(new_ts, (rec.locked_word >> 1) + 1);
-
-    // Publish. The first release fence keeps the lock CASes above ordered
-    // before the data stores. Partial-granule records merge with memory --
-    // safe because this thread holds the granule's orec, so nobody else
-    // may write any byte of it until the publish below. The data pass
-    // walks the granule-sorted write set, so aliased granules of one orec
-    // all land before that orec's single publish.
-    // Chaos harness: a committer parked here is decided but has applied
-    // nothing; waiters must tolerate or abort around it.
-    (void)CHRONOSTM_FAILPOINT(orec_commit_pre_writeback);
-
-    std::atomic_thread_fence(std::memory_order_release);
-    for (const auto& rec : ws) {
-        auto* gp = static_cast<std::uint64_t*>(rec.gran);
-        if (rec.mask == 0xFFu) {
-            __atomic_store_n(gp, rec.value, __ATOMIC_RELAXED);
-        } else {
-            const std::uint64_t cur = __atomic_load_n(gp, __ATOMIC_RELAXED);
-            __atomic_store_n(gp,
-                             detail::orec_merge(cur, rec.value, rec.mask),
-                             __ATOMIC_RELAXED);
-        }
-    }
-    // Chaos harness: data applied, orec locks still held.
-    (void)CHRONOSTM_FAILPOINT(orec_commit_pre_unlock);
-    // Batched version publish: one release fence for the whole write set,
-    // then relaxed stores -- each orec published exactly once (owner
-    // records). Readers' acquire loads of the orec synchronize with the
-    // fence ([atomics.fences]), so data stays visible before the version
-    // that admits it. kFencedPublishOrder upgrades the stores to release
-    // under TSan, which cannot model thread fences.
-    std::atomic_thread_fence(std::memory_order_release);
-    for (const auto& rec : ws)
-        if (rec.owner)
-            rec.orec->store(new_ts << 1, kFencedPublishOrder);
-    return true;
-}
-
-// Abort path: restore the saved word on every orec this commit actually
-// locked (owner records only; aliased duplicates never performed a CAS).
-inline void OrecTransaction::rollback() {
-    auto& ws = sets_->writes;
-    for (std::uint32_t i = 0; i < ws.size(); ++i)
-        if (ws[i].owner)
-            ws[i].orec->store(ws[i].locked_word, std::memory_order_release);
 }
 
 // Typed raw-memory wrapper: a plain T, 8-aligned so the value sits inside

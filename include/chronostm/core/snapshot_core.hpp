@@ -5,26 +5,33 @@
 // per-TVar engine (core/lsa_stm.hpp) and the orec-table engine
 // (core/orec_stm.hpp) differ only in where the version word lives: in a
 // TVar lock word with a version history behind it, or in a hashed orec
-// with none. So the snapshot bookkeeping, the striped commit-epoch filter,
-// commit-time validation, the irrevocability gate, the retry ladder and
-// the statistics live here, and each engine adds its own read admission,
-// lock loop and write-back on top.
+// with none. Either way it is one std::atomic<std::uint64_t> -- (version
+// << 1) unlocked, odd locked -- so the read log, the snapshot bookkeeping,
+// the striped commit-epoch filter, the foreign-lock wait, the whole update
+// commit (lock, stamp, validate, write back, publish, roll back), the
+// irrevocability gate, the retry ladder and the statistics live here, and
+// each engine adds its read admission and a few commit hooks on top
+// (DESIGN.md "One commit pipeline").
 //
 // The core is three class templates, each a CRTP base of one engine class
 // (nothing is virtual):
 //  * SnapshotTx<Engine, Cfg, Sets>: per-attempt snapshot state, stripe
-//    filter, try_extend, become_irrevocable, write-set lookup and the
-//    middle of commit (stripe bumps, stamp draw, validation, freshness).
-//    The engine's transaction provides five hooks:
-//      bool walk_read_set() const        -- full O(R) read-set validation
-//      std::uint64_t extension_cap() const
-//                                        -- ceiling for `upper` (the LSA
-//                                           engine's oldest history read)
-//      bool reads_in_present() const     -- false once a read was served
-//                                           from version history
-//      void note_own_stamp(std::uint64_t) -- every stamp the attempt draws
-//      static write_key(const Rec&)      -- the address a write record
-//                                           covers (TVar or granule)
+//    filter, try_extend, become_irrevocable, the write-set and lock-key
+//    lookups, the foreign-lock wait and commit(). The engine's transaction
+//    provides these hooks (DESIGN.md "One commit pipeline" tabulates them):
+//      extension_cap()     -- ceiling for `upper` (LSA: oldest history read)
+//      reads_in_present()  -- false once a read was served from history
+//      note_own_stamp(ts)  -- every stamp the attempt draws
+//      write_key(rec)      -- the address a write record covers (lock order)
+//      lock_word(w)        -- the word a commit CASes over unlocked word w
+//      arbitrate(w)        -- every spin of a wait on locked word w; may
+//                             abort, returns the spin budget
+//      killed()            -- a contention manager asked the commit to abort
+//      lock_begin(), decide(), on_rollback()
+//                          -- the commit's first lock, point of no return
+//                             and abort
+//      apply(rec, new_ts)  -- one record's data write-back
+//    and a commit() that hands the core its four failpoint sites.
 //  * SnapshotContext<Engine, Tx, Cfg, Sets>: the per-thread handle's run()
 //    loop with its degradation ladder, txn_commit and stats. The engine's
 //    context provides txn_begin(), a kEngineName for RetryExhausted, and
@@ -32,8 +39,9 @@
 //  * SnapshotEngine<Cfg>: the engine shell -- time base, epoch stripes,
 //    irrevocability gate and the per-context stats registry.
 // Ahead of them sit the types both engines use: TxStats, RetryExhausted,
-// the per-context StatsBlock, the irrevocability gate, and the pooled
-// containers the access sets are built from (FlatVec, PtrIndex).
+// the per-context StatsBlock, the irrevocability gate, the pooled
+// containers the access sets are built from (FlatVec, PtrIndex), the read
+// log entry and the access sets themselves.
 
 #pragma once
 
@@ -540,6 +548,51 @@ class PtrIndex {
     std::uint32_t gen_ = 1;
 };
 
+// One read-log entry: the version word a read admitted (a TVar's lock word
+// or an orec) and the unlocked value it admitted. The log is append-only
+// and keeps duplicates, as TL2's read set does: a read is one append, with
+// no probe to deduplicate. Validation walks every entry; two entries for
+// one word never disagree in a live transaction (DESIGN.md "Read log").
+struct ReadEntry {
+    std::atomic<std::uint64_t>* lock;
+    std::uint64_t word;
+};
+
+// Per-thread access-set storage, owned by the context and reused by every
+// attempt of every transaction it runs: logs and index keep their
+// capacity, so the steady-state hot path allocates nothing. Rec is the
+// engine's write-set element -- a record, or a pointer to one -- with the
+// fields commit() fills: `lock` (the word it locks), `locked_word` (the
+// unlocked word the lock replaced) and `owner` (1 if this record performed
+// the CAS, 0 if an earlier record of the same commit holds that lock).
+template <typename Rec>
+struct SnapshotSets {
+    FlatVec<ReadEntry> reads;
+    FlatVec<Rec> writes;
+    // Past kInlineScan records: write key -> position while the attempt
+    // runs; once commit() has sorted the set, lock -> position of the
+    // record that holds it (SnapshotTx::find_lock).
+    PtrIndex index;
+    // Striped epoch-filter state for the in-flight attempt: the read-set
+    // stripe signature plus the per-stripe epoch snapshots taken at first
+    // touch (core/epoch_stripes.hpp).
+    StripeScratch stripes;
+
+    void reset() {
+        reads.clear();
+        writes.clear();
+        index.clear();
+        stripes.reset();
+    }
+};
+
+// A write-set element's record, whether the set holds records or pointers.
+template <typename Rec>
+inline auto& record(Rec& r) {
+    if constexpr (std::is_pointer_v<Rec>) return *r;
+    else return r;
+}
+
 template <typename Engine, typename Tx, typename Cfg, typename Sets>
 class SnapshotContext;
 
@@ -676,8 +729,7 @@ class SnapshotTx {
         // A snapshot that fell back to old versions cannot serialize in
         // the present; everything else is settled by one full validation
         // walk -- after it succeeds no commit can run until we release.
-        if (!self().reads_in_present() || !self().walk_read_set())
-            throw AbortTx{};
+        if (!self().reads_in_present() || !walk_read_set()) throw AbortTx{};
         irrevocable_ = true;
     }
 
@@ -831,7 +883,7 @@ class SnapshotTx {
         } else {
             note_unarmed_walk();
         }
-        if (!self().walk_read_set()) {
+        if (!walk_read_set()) {
             extend_conflict_ = true;
             return false;
         }
@@ -861,6 +913,54 @@ class SnapshotTx {
         throw AbortTx{!extend_conflict_};
     }
 
+    // Full O(R) read-set validation: every logged read still carries
+    // exactly the admitted (unlocked) word.
+    bool walk_read_set() const {
+        return sets_->reads.all_of([](const ReadEntry& e) {
+            return e.lock->load(std::memory_order_acquire) == e.word;
+        });
+    }
+
+    // The one foreign-lock wait: spins until `lock` is unlocked and returns
+    // the unlocked word. The engine's arbitrate(word) runs on every spin; it
+    // may abort this attempt (a kill landed, or its contention manager
+    // yields) and returns the spin budget. Past lock_spin spins the owner
+    // looks preempted, not merely slow: the wait counts one stall_waits.
+    // Past the budget it gives up on the stalled owner and aborts through
+    // the contention seam (stalled_aborts; run() backs off, then
+    // escalates) -- except for the irrevocability-token holder, which only
+    // ever meets locks of already-in-flight commits and outwaits them.
+    std::uint64_t wait_unlocked(const std::atomic<std::uint64_t>* lock) {
+        for (std::uint64_t spins = 1;; ++spins) {
+            const std::uint64_t w = lock->load(std::memory_order_acquire);
+            if (!(w & 1u)) return w;
+            const std::uint64_t budget = self().arbitrate(w);
+            if (spins == std::uint64_t{cfg_.lock_spin} + 1)
+                bump(stats_->stall_waits);
+            if (spins > budget && !irrevocable_) {
+                bump(stats_->stalled_aborts);
+                throw AbortTx{};
+            }
+            cpu_relax();
+            // Single-CPU hosts: the lock owner cannot run unless we yield.
+            if ((spins & 63u) == 0) std::this_thread::yield();
+        }
+    }
+
+    // Read admission of an irrevocable attempt. The heap is quiescent: no
+    // update commit can run while this transaction holds the token, so the
+    // current version IS the snapshot -- no admission check, no read log,
+    // no seqlock recheck. Waits out a lock left by a commit that was in
+    // flight at escalation and raises lower_, keeping the commit stamp
+    // above every version this attempt read (stamp_and_validate pulls the
+    // time base forward if the drawn stamp lags it); the caller loads the
+    // data after it.
+    void admit_irrevocable(const std::atomic<std::uint64_t>& lock) {
+        std::uint64_t w = lock.load(std::memory_order_acquire);
+        if (w & 1u) w = wait_unlocked(&lock);
+        lower_ = std::max(lower_, (w >> 1) + dev_);
+    }
+
     // --- write set --------------------------------------------------------
 
     // Write-set lookup by the address a record covers (the engine's
@@ -876,7 +976,7 @@ class SnapshotTx {
                 if (Engine::write_key(ws[i]) == key) return i;
             return PtrIndex::kNone;
         }
-        return sets_->write_index.find_or_stage(key);
+        return sets_->index.find_or_stage(key);
     }
 
     // Appends a record whose key find_write_pos just missed on.
@@ -887,60 +987,181 @@ class SnapshotTx {
         if (ws.size() == kInlineScan + 1) {
             // Crossed the inline threshold: index everything accumulated.
             for (std::uint32_t i = 0; i < ws.size(); ++i)
-                sets_->write_index.insert(Engine::write_key(ws[i]), i);
+                sets_->index.insert(Engine::write_key(ws[i]), i);
         } else if (ws.size() > kInlineScan + 1) {
             // find_write_pos just missed on this key: its staged bucket is
             // ours.
-            sets_->write_index.commit_stage(Engine::write_key(rec),
-                                            ws.size() - 1);
+            sets_->index.commit_stage(Engine::write_key(rec), ws.size() - 1);
         }
-        writes_sorted_ = false;
+    }
+
+    // The lock-key lookup of a sorted write set: the position of the record
+    // among the first `n` that holds `lock` (its owner record), or kNone. A
+    // linear scan up to kInlineScan records; past it the index, which the
+    // lock loop fills as it takes each lock (a miss leaves its bucket
+    // staged for that). It serves alias detection at lock time and the
+    // own-lock case of commit validation.
+    std::uint32_t find_lock(const void* lock, std::uint32_t n) {
+        auto& ws = sets_->writes;
+        if (ws.size() <= kInlineScan) {
+            for (std::uint32_t i = 0; i < n; ++i)
+                if (record(ws[i]).lock == lock) return i;
+            return PtrIndex::kNone;
+        }
+        return sets_->index.find_or_stage(lock);
     }
 
     // --- commit -----------------------------------------------------------
 
-    // Read-only fast path: an attempt with an empty write set commits at
-    // its snapshot -- its reads are consistent -- with no stamp drawn, no
-    // lock taken, no epoch bump. Returns false for update attempts.
-    bool commit_read_only() {
-        if (!sets_->writes.empty()) return false;
-        bump(stats_->ro_commits);
-        return true;
-    }
-
-    // Sort the write set by the address each record covers, the global
-    // lock order. Done once per attempt.
-    void sort_writes() {
-        if (writes_sorted_) return;
+    // The update commit, both engines (DESIGN.md "One commit pipeline"):
+    // lock the write set in address order, draw the stamp after the last
+    // lock, validate, then write back and publish. Returns false when the
+    // attempt must be retried. The four arguments are the engine's
+    // failpoint sites, so tests keep arming them by engine.
+    template <typename PostLock, typename PreStamp, typename PreWriteback,
+              typename PreUnlock>
+    bool commit(PostLock post_lock, PreStamp pre_stamp,
+                PreWriteback pre_writeback, PreUnlock pre_unlock) {
         auto& ws = sets_->writes;
+        // Read-only fast path: an empty write set commits at its snapshot
+        // -- its reads are consistent -- with no stamp, lock or epoch bump.
+        if (ws.empty()) {
+            bump(stats_->ro_commits);
+            return true;
+        }
+        // An update that read old versions cannot serialize in the
+        // present. That is freshness, not a data conflict: the snapshot
+        // fell back to history because it could not extend, and on counter
+        // time bases the present moves only when stamps are drawn, so run()
+        // must pull the counter forward.
+        if (!self().reads_in_present()) {
+            commit_stamp_stale_ = true;
+            return false;
+        }
+        // The global lock order: sorted by the address each record covers.
         std::sort(ws.begin(), ws.end(), [](const auto& a, const auto& b) {
             return Engine::write_key(a) < Engine::write_key(b);
         });
-        writes_sorted_ = true;
+        // Update commits run inside the irrevocability gate: held at the
+        // door while a token holder is active, flagged in flight otherwise
+        // so an escalating transaction can drain the pipeline. The token
+        // holder skips it -- it IS the gate. The guard exits on every path.
+        GateGuard gate_guard;
+        if (!irrevocable_) {
+            gate_->enter_commit(*commit_flag_);
+            gate_guard.flag = commit_flag_;
+        }
+        self().lock_begin();
+        // From here on the index maps locks, not write keys.
+        if (ws.size() > kInlineScan) sets_->index.clear();
+        std::uint32_t locked = 0;
+        try {
+            for (; locked < ws.size(); ++locked) lock_record(locked);
+        } catch (const AbortTx&) {
+            return rollback(locked);
+        }
+        // Chaos harness: a committer preempted right after taking its last
+        // lock, before anything is published.
+        post_lock();
+        if (self().killed()) return rollback(locked);
+        std::uint64_t commit_ts;
+        if (!stamp_and_validate(commit_ts, pre_stamp)) return rollback(locked);
+        // One stamp for the whole write set (stamping records one by one
+        // could tear the commit across the version history when the time
+        // base hands out tied stamps), raised above every locked version
+        // for per-word monotonicity under TL2 sharing and coarse clocks.
+        std::uint64_t new_ts = commit_ts;
+        for (const auto& r : ws)
+            new_ts = std::max(new_ts, (record(r).locked_word >> 1) + 1);
+        if (!self().decide()) return rollback(locked);
+        // Test hook: freezes a decided committer that holds every lock.
+        if (cfg_.commit_publish_hook) cfg_.commit_publish_hook();
+        // Chaos harness: a committer parked here is decided but has
+        // applied nothing; waiters must tolerate or abort around it.
+        pre_writeback();
+        // Fence #1: the (earlier) lock stores stay visible before any data
+        // store -- a reader that observes new data and rechecks the lock
+        // word sees the lock (the seqlock's other half is in the engines'
+        // reads).
+        std::atomic_thread_fence(std::memory_order_release);
+        for (auto& r : ws) self().apply(record(r), new_ts);
+        // Chaos harness: data applied, version words still locked.
+        pre_unlock();
+        // Fence #2: all data stores precede every version publish below
+        // ([atomics.fences]: fence-release paired with the readers'
+        // acquire loads), so the publish stores are relaxed, each word
+        // published once, by its owner record. The data pass walks the
+        // sorted set, so aliased records of one orec land before its
+        // publish. kFencedPublishOrder is release under TSan, which cannot
+        // model thread fences.
+        std::atomic_thread_fence(std::memory_order_release);
+        for (const auto& r : ws)
+            if (record(r).owner)
+                record(r).lock->store(new_ts << 1, kFencedPublishOrder);
+        return true;
     }
 
-    // Update commits run inside the irrevocability gate: held at the door
-    // while a token holder is active, flagged in flight otherwise so an
-    // escalating transaction can drain the pipeline. The token holder
-    // itself skips the gate -- it IS the gate. The caller's guard exits on
-    // every path out, including exceptions.
-    void enter_gate(GateGuard& guard) {
-        if (irrevocable_) return;
-        gate_->enter_commit(*commit_flag_);
-        guard.flag = commit_flag_;
+    // Locks write record i of the sorted set, waiting on a foreign lock.
+    // A record whose lock an earlier record of this commit already holds
+    // (distinct orec granules hashing to one orec; never in the LSA
+    // engine) shares it instead of deadlocking on itself.
+    void lock_record(std::uint32_t i) {
+        auto& rec = record(sets_->writes[i]);
+        const std::uint32_t prev = find_lock(rec.lock, i);
+        if (prev != PtrIndex::kNone) {
+            rec.locked_word = record(sets_->writes[prev]).locked_word;
+            rec.owner = 0;
+            bump(stats_->false_conflicts);
+            return;
+        }
+        std::uint64_t w = rec.lock->load(std::memory_order_relaxed);
+        for (;;) {
+            if (self().killed()) throw AbortTx{};
+            if (w & 1u) w = wait_unlocked(rec.lock);
+            if (rec.lock->compare_exchange_weak(w, self().lock_word(w),
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_relaxed))
+                break;
+        }
+        rec.locked_word = w;
+        rec.owner = 1;
+        if (sets_->writes.size() > kInlineScan)
+            sets_->index.commit_stage(rec.lock, i);
+    }
+
+    // Abort path while holding the locks of the first `n` write records:
+    // restore the saved word of every lock this commit took.
+    bool rollback(std::uint32_t n) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            auto& rec = record(sets_->writes[i]);
+            if (rec.owner)
+                rec.lock->store(rec.locked_word, std::memory_order_release);
+        }
+        self().on_rollback();
+        return false;
+    }
+
+    // Whether read-log entry `e` still holds the version it admitted: its
+    // word is unchanged, or this commit locked it over exactly that word.
+    // Only the lock-key lookup decides ownership -- an orec lock preserves
+    // the version, so a foreign committer's lock can equal ours.
+    bool still_valid(const ReadEntry& e) {
+        const std::uint64_t cur = e.lock->load(std::memory_order_acquire);
+        if (cur == e.word) return true;
+        if (!(cur & 1u)) return false;
+        const std::uint32_t i = find_lock(e.lock, sets_->writes.size());
+        return i != PtrIndex::kNone &&
+               record(sets_->writes[i]).locked_word == e.word;
     }
 
     // The middle of an update commit, run with the whole write set locked:
     // bump the write set's stripes (unless the filter state reads off),
     // draw the commit stamp, validate the read set, and settle freshness.
     // Returns false when the attempt must roll back (commit_stamp_stale_
-    // then says whether it was freshness).
-    // `valid(entry)` tells whether a read-set entry is still the admitted
-    // version, including the engine's own-lock test; `pre_stamp()` is the
-    // engine's failpoint site in front of the stamp draw.
-    template <typename Valid, typename PreStamp>
-    bool stamp_and_validate(std::uint64_t& commit_ts, Valid valid,
-                            PreStamp pre_stamp) {
+    // then says whether it was freshness). `pre_stamp()` is the engine's
+    // failpoint site in front of the stamp draw.
+    template <typename PreStamp>
+    bool stamp_and_validate(std::uint64_t& commit_ts, PreStamp pre_stamp) {
         // Bump every DISTINCT stripe the write set hashes into while every
         // write lock is held and BEFORE the stamp draw: a reader whose
         // stripe check misses a bump drew its extension time before our
@@ -1036,7 +1257,8 @@ class SnapshotTx {
                 bump(stats_->stripe_walks);
             else
                 note_unarmed_walk();
-            reads_valid = sets_->reads.all_of(valid);
+            reads_valid = sets_->reads.all_of(
+                [this](const ReadEntry& e) { return still_valid(e); });
         }
         if (!reads_valid) return false;
         if (lower_ > commit_ts) {
@@ -1087,7 +1309,6 @@ class SnapshotTx {
     // old transaction does not retry as the youngest. The LSA timestamp
     // manager ranks conflicting transactions by it.
     std::uint64_t start_ts_ = 0;
-    bool writes_sorted_ = false;
     // Set by commit() when it failed only because the drawn stamp lagged
     // the snapshot (lower_ > commit_ts); run() treats that retry as a
     // freshness abort and draws the time base forward.

@@ -10,11 +10,12 @@
 // unknown keys rejected loudly.
 //
 // No core include may depend on anything heavier than this header: both
-// core engines include it, so it stays dependency-free.
+// core engines include it, so it stays free of chronostm dependencies.
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 namespace chronostm {
 namespace stm {
@@ -22,18 +23,10 @@ namespace stm {
 struct CommonConfig {
     // Lazy snapshot extension on reads that find a too-new version.
     bool read_extension = true;
-    // Spins on a foreign lock before the contention machinery gives up
-    // (LSA: hands the conflict to the contention manager; orec: starts
-    // stall detection).
+    // Spins on a foreign lock before the waiter counts a stall and gives
+    // up on the owner (the LSA aggressive manager waits 64 times longer;
+    // the irrevocability-token holder waits without bound).
     unsigned lock_spin = 256;
-    // Stalled-committer tolerance (orec engine; the LSA engine derives its
-    // wait budget from lock_spin and the contention manager): once
-    // lock_spin polite spins are burnt the waiter keeps spinning until
-    // EITHER the attempt budget (stall_spin_factor * lock_spin total
-    // spins) runs out OR the time base advances past an anchor by
-    // stall_ts_budget stamps while the lock never moves.
-    unsigned stall_spin_factor = 64;
-    std::uint64_t stall_ts_budget = 64;
     // Bounded retry: run() throws after this many consecutive aborts.
     unsigned max_retries = 1'000'000;
     // Graceful-degradation ladder, final rung: consecutive-abort count at
@@ -53,6 +46,11 @@ struct CommonConfig {
     // signature is one 64-bit bitmap); 1 reproduces the single-word
     // filter of the pre-striping engines.
     unsigned filter_stripes = 64;
+    // Test-only: invoked on the committing thread at its decision point,
+    // after validation and before it applies its write set -- lets tests
+    // freeze a decided committer that still holds every lock. Leave empty
+    // in production.
+    std::function<void()> commit_publish_hook;
 };
 
 }  // namespace stm

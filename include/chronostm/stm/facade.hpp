@@ -15,7 +15,7 @@
 // Same grammar rules as tb::make: name before ':', case-insensitive
 // lowercased keys, later key wins, unknown names/keys throw loudly.
 // Common knobs (stm::CommonConfig) parse uniformly across engines --
-// spin=, retries=, irrev=, filter=, ext=, stallspin=, stallts= -- plus
+// spin=, retries=, irrev=, filter=, stripes=, ext= -- plus
 // each engine's private keys (orec: bits=; lsa: versions=, cm=;
 // vstm: heuristic=).
 //
@@ -497,8 +497,8 @@ inline std::string engine_spec_help() {
         s += k.example;
         s += "; ";
     }
-    s += "common keys spin=,retries=,irrev=,filter=,stripes=,ext=,";
-    s += "stallspin=,stallts=; comma-separated for multi-series drivers";
+    s += "common keys spin=,retries=,irrev=,filter=,stripes=,ext=; ";
+    s += "comma-separated for multi-series drivers";
     return s;
 }
 
@@ -517,9 +517,6 @@ inline bool flag(const tb::TimeBaseSpec& s, const char* key, bool def) {
 inline void apply_common(const tb::TimeBaseSpec& s, CommonConfig& c) {
     c.read_extension = flag(s, "ext", c.read_extension);
     c.lock_spin = static_cast<unsigned>(s.u64("spin", c.lock_spin));
-    c.stall_spin_factor =
-        static_cast<unsigned>(s.u64("stallspin", c.stall_spin_factor));
-    c.stall_ts_budget = s.u64("stallts", c.stall_ts_budget);
     c.max_retries = static_cast<unsigned>(s.u64("retries", c.max_retries));
     c.irrevocable_threshold =
         static_cast<unsigned>(s.u64("irrev", c.irrevocable_threshold));
@@ -528,9 +525,8 @@ inline void apply_common(const tb::TimeBaseSpec& s, CommonConfig& c) {
         static_cast<unsigned>(s.u64("stripes", c.filter_stripes));
 }
 
-constexpr const char* kCommonKeys[] = {"ext",     "spin",  "stallspin",
-                                       "stallts", "retries", "irrev",
-                                       "filter",  "stripes"};
+constexpr const char* kCommonKeys[] = {"ext",   "spin",   "retries",
+                                       "irrev", "filter", "stripes"};
 
 inline void require_engine_keys(const tb::TimeBaseSpec& s,
                                 std::initializer_list<const char*> extra) {

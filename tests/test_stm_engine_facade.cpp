@@ -114,19 +114,20 @@ void check_config_plumbing() {
     for (const char* name : {"lsa", "orec", "tl2", "vstm", "glock"}) {
         const std::string spec =
             std::string(name) +
-            ":spin=128,retries=10000,irrev=32,filter=off,ext=on,"
-            "stallspin=2,stallts=8";
+            ":spin=128,retries=10000,irrev=32,filter=off,ext=on";
         CHECK_MSG(stm::make(spec).valid(), "common keys on '%s'", name);
     }
     // Common keys reach the lsa/orec configs.
     {
-        stm::Engine e = stm::make("lsa:spin=77,stallspin=3,stallts=9,ext=off");
+        stm::Engine e = stm::make("lsa:spin=77,ext=off");
         const StmConfig& c = stm::get_if<stm::LsaAdapter>(e)->stm().config();
         CHECK(c.lock_spin == 77);
-        CHECK(c.stall_spin_factor == 3);
-        CHECK(c.stall_ts_budget == 9);
         CHECK(!c.read_extension);
     }
+    // Both engines share one stall rule (lock_spin), so the orec stall
+    // budgets are gone with their keys.
+    expect_invalid([] { stm::make("orec:stallspin=2"); }, "unknown key");
+    expect_invalid([] { stm::make("lsa:stallts=8"); }, "unknown key");
 }
 
 // One engine, full data/control plane: raw slots + transactions through

@@ -1,16 +1,19 @@
-// Tier-1 liveness check for a frozen committer. A committer (thread A) is
-// frozen via the test hook at the exact point where its commit is decided
-// (descriptor Committed) but its write set not yet applied -- the
+// Tier-1 liveness check for a frozen committer, on both engines. A
+// committer (thread A) is frozen via the test hook at the exact point
+// where its commit is decided but its write set not yet applied -- the
 // situation a preempted committer creates in production. Only the owner
-// writes back, so a conflicting writer (thread B) can only spin on A's
-// lock and abort: it must not commit, and A's writes must not appear,
-// until A is released. Then both transactions land.
+// writes back, so a conflicting writer (thread B) can only wait on A's
+// lock and abort through the shared wait loop: it must not commit, and
+// A's writes must not appear, until A is released. Then both transactions
+// land.
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include <chronostm/core/lsa_stm.hpp>
+#include <chronostm/core/orec_stm.hpp>
 
 #include "test_util.hpp"
 
@@ -18,20 +21,19 @@ using namespace chronostm;
 
 namespace {
 
-using Tx = Transaction;
-
 void spin_until(const std::atomic<bool>& flag) {
     while (!flag.load(std::memory_order_acquire)) std::this_thread::yield();
 }
 
-}  // namespace
-
-int main() {
+// Stm/Cfg/Var: LsaStm/StmConfig/TVar<long> or OrecStm/OrecConfig/
+// WordVar<long>.
+template <typename Stm, typename Cfg, typename Var>
+void check_frozen_committer(const char* engine) {
     std::atomic<bool> stall_armed{true};
     std::atomic<bool> a_stalled{false};
     std::atomic<bool> release_a{false};
 
-    StmConfig cfg;
+    Cfg cfg;
     cfg.commit_publish_hook = [&] {
         // Only the first committer (thread A, by construction) freezes.
         if (stall_armed.exchange(false)) {
@@ -39,12 +41,12 @@ int main() {
             spin_until(release_a);
         }
     };
-    LsaStm stm(tb::make("shared"), cfg);
-    TVar<long> x(0), y(0);
+    Stm stm(tb::make("shared"), cfg);
+    Var x(0), y(0);
 
     std::thread a([&] {
         auto ctx = stm.make_context();
-        ctx.run([&](Tx& tx) {
+        ctx.run([&](auto& tx) {
             x.set(tx, 1);
             y.set(tx, 1);
         });
@@ -54,7 +56,7 @@ int main() {
     std::atomic<bool> b_done{false};
     std::thread b([&] {
         auto ctx = stm.make_context();
-        ctx.run([&](Tx& tx) { x.set(tx, x.get(tx) + 10); });
+        ctx.run([&](auto& tx) { x.set(tx, x.get(tx) + 10); });
         b_done.store(true, std::memory_order_release);
     });
 
@@ -63,9 +65,9 @@ int main() {
     // applied by anybody.
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     CHECK_MSG(!b_done.load(std::memory_order_acquire),
-              "the conflicting writer committed through a frozen committer "
-              "(x=%ld)",
-              x.unsafe_peek());
+              "%s: the conflicting writer committed through a frozen "
+              "committer (x=%ld)",
+              engine, x.unsafe_peek());
     CHECK(x.unsafe_peek() == 0);
     CHECK(y.unsafe_peek() == 0);
 
@@ -75,10 +77,21 @@ int main() {
     b.join();
 
     const auto stats = stm.collected_stats();
-    CHECK(x.unsafe_peek() == 11 && y.unsafe_peek() == 1);
+    CHECK_MSG(x.unsafe_peek() == 11 && y.unsafe_peek() == 1, "%s: x=%ld y=%ld",
+              engine, x.unsafe_peek(), y.unsafe_peek());
     CHECK(stats.commits() == 2);
+    // B met A's lock and gave up on it at least once before escalating.
+    CHECK_MSG(stats.stalled_aborts >= 1, "%s: stalled_aborts=%llu", engine,
+              static_cast<unsigned long long>(stats.stalled_aborts));
     CHECK_MSG(stats.helped_commits == 0, "helped_commits=%llu",
               static_cast<unsigned long long>(stats.helped_commits));
+}
+
+}  // namespace
+
+int main() {
+    check_frozen_committer<LsaStm, StmConfig, TVar<long>>("lsa");
+    check_frozen_committer<OrecStm, OrecConfig, WordVar<long>>("orec");
     std::printf("test_stm_frozen_committer: PASS\n");
     return 0;
 }
