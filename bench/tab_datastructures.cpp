@@ -5,9 +5,13 @@
 // every (structure, engine) cell runs TWICE:
 //
 //   dispatch=facade  -- the public path: containers over EnginePolicy,
-//                       one switch-on-kind per slot access;
+//                       one switch-on-kind per transaction, then the
+//                       adapter's inlined slot accesses;
 //   dispatch=direct  -- the compile-time twin: DirectPolicy<A> over the
-//                       concrete adapter, slot accesses inlined.
+//                       concrete adapter, no switch at all.
+//
+// (perfbench's traced run hands EnginePolicy a stm::Txn& functor and so
+// keeps a switch per slot access; neither row here measures that path.)
 //
 // check_bench.py --ds-blob gates the pair: facade throughput must stay
 // within --ds-facade-tolerance (default 1.15, the facade's documented
@@ -383,7 +387,8 @@ int main(int argc, char** argv) {
         }
     }
     json.arr_end().obj_end();
-    t.add_note("facade = type-erased stm::Engine (switch per slot access); "
+    t.add_note("facade = type-erased stm::Engine (switch per transaction; "
+               "perfbench's traced run keeps one per slot access); "
                "direct = DirectPolicy<A> compile-time twin, same container "
                "code. check_bench.py --ds-blob gates facade within 15% of "
                "direct and orec skiplist above glock at >= 2 threads");

@@ -3,18 +3,23 @@
 //
 //   EnginePolicy       -- the public path: a runtime-selected type-erased
 //                         stm::Engine from the registry (stm::make). One
-//                         switch-on-kind per slot access.
+//                         switch-on-kind per transaction: run() hands the
+//                         containers' generic lambdas the concrete
+//                         adapter's DirectPolicy<A>::Tx, so every slot
+//                         access inlines into the engine's read/write fast
+//                         path. A functor taking only stm::Txn& (perfbench's
+//                         traced TracePolicy) still runs through
+//                         stm::Engine::run and keeps the per-access switch.
 //   DirectPolicy<A>    -- the compile-time twin over a concrete adapter;
-//                         slot accesses inline into the engine's read/
-//                         write fast paths. Exists so the datastructure
-//                         bench can price the facade dispatch (the <= 15%
-//                         gate in check_bench.py) against otherwise
-//                         identical code.
+//                         the code EnginePolicy runs after its switch.
+//                         The datastructure bench prices EnginePolicy's
+//                         one switch (the <= 15% gate in check_bench.py)
+//                         against it.
 //
 // A policy provides: Ctx, make_context(), run(ctx, f) calling f(tx&) with
-// a handle exposing load(slot)/store(slot, v), and the slot layout ops
-// (slot_size/align/init/destroy/peek). Slots hold 64-bit words; pointers
-// travel through them as uintptr_t values.
+// a handle exposing load(slot)/store(slot, v)/abort(), and the slot layout
+// ops (slot_size/align/init/destroy/peek). Slots hold 64-bit words;
+// pointers travel through them as uintptr_t values.
 //
 // run_alloc_tx() is the container transaction wrapper: it pins the
 // caller's epoch participant for the whole run() (doomed attempts stay
@@ -27,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include <chronostm/stm/alloc.hpp>
@@ -133,29 +139,6 @@ struct SlotTraits<stm::GlobalLockAdapter> {
     }
 };
 
-// The public path: one runtime-selected engine, switch-dispatched slots.
-struct EnginePolicy {
-    using Ctx = stm::Context;
-
-    stm::Engine eng;
-
-    explicit EnginePolicy(stm::Engine e) : eng(std::move(e)) {}
-
-    Ctx make_context() const { return eng.make_context(); }
-
-    template <typename F>
-    auto run(Ctx& ctx, F&& f) const {
-        return eng.run(ctx, std::forward<F>(f));
-    }
-
-    std::size_t slot_size() const { return eng.slot_size(); }
-    std::size_t slot_align() const { return eng.slot_align(); }
-    void slot_init(void* p, std::uint64_t v) const { eng.slot_init(p, v); }
-    void slot_destroy(void* p) const { eng.slot_destroy(p); }
-    std::uint64_t slot_peek(const void* p) const { return eng.slot_peek(p); }
-    stm::Engine::SlotDtor slot_dtor() const { return eng.slot_dtor(); }
-};
-
 // The compile-time twin: same container code, direct template calls.
 template <typename A>
 struct DirectPolicy {
@@ -168,11 +151,13 @@ struct DirectPolicy {
 
     Ctx make_context() const { return a->make_context(); }
 
-    // The handle the container's generic lambdas receive.
+    // The handle the container's generic lambdas receive: the same data
+    // plane as stm::Txn (load, store, abort), inlined per adapter.
     struct Tx {
         typename A::Txn& t;
         std::uint64_t load(void* p) { return Traits::load(t, p); }
         void store(void* p, std::uint64_t v) { Traits::store(t, p, v); }
+        [[noreturn]] void abort() { t.abort(); }
     };
 
     template <typename F>
@@ -189,6 +174,44 @@ struct DirectPolicy {
     void slot_destroy(void* p) const { Traits::destroy(p); }
     std::uint64_t slot_peek(const void* p) const { return Traits::peek(p); }
     stm::Engine::SlotDtor slot_dtor() const { return &Traits::destroy; }
+};
+
+// The public path: one runtime-selected engine, one switch per
+// transaction.
+struct EnginePolicy {
+    using Ctx = stm::Context;
+
+    stm::Engine eng;
+
+    explicit EnginePolicy(stm::Engine e) : eng(std::move(e)) {}
+
+    Ctx make_context() const { return eng.make_context(); }
+
+    // "Generic" = takes a DirectPolicy handle, in practice through an
+    // `auto&` parameter; a functor taking only stm::Txn& does not and
+    // keeps the facade path. LSA's handle stands in for all five: a
+    // functor that takes one adapter's handle but not another's compiles
+    // on neither path.
+    template <typename F>
+    auto run(Ctx& ctx, F&& f) const {
+        if constexpr (std::is_invocable_v<
+                          F&, DirectPolicy<stm::LsaAdapter>::Tx&>) {
+            return stm::visit(eng, [&](auto& adapter) {
+                using A = std::decay_t<decltype(adapter)>;
+                return DirectPolicy<A>(adapter).run(
+                    *static_cast<typename A::Context*>(ctx.raw()), f);
+            });
+        } else {
+            return eng.run(ctx, std::forward<F>(f));
+        }
+    }
+
+    std::size_t slot_size() const { return eng.slot_size(); }
+    std::size_t slot_align() const { return eng.slot_align(); }
+    void slot_init(void* p, std::uint64_t v) const { eng.slot_init(p, v); }
+    void slot_destroy(void* p) const { eng.slot_destroy(p); }
+    std::uint64_t slot_peek(const void* p) const { return eng.slot_peek(p); }
+    stm::Engine::SlotDtor slot_dtor() const { return eng.slot_dtor(); }
 };
 
 // Per-thread container handle: the policy's engine context plus the

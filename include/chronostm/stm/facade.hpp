@@ -25,10 +25,13 @@
 // orec table hashes; TL2/VSTM: a versioned-lock wstm::Var<u64>; glock: a
 // bare word), so the engine reports slot_size()/slot_align() and
 // containers lay raw nodes out at runtime: [node header | slot | slot
-// ...]. Dispatch is a switch on the kind tag -- no virtual calls, the same
-// branch-ladder shape whose time-base twin measured low-single-digit
-// percent; the datastructure driver gates the engine facade at <= 15%
-// vs the DirectPolicy twin.
+// ...]. Dispatch is a switch on the kind tag -- no virtual calls. A
+// stm::Txn switches once per load/store; the containers skip that:
+// ds::EnginePolicy (ds/policy.hpp) switches once per transaction and runs
+// their generic functors over the concrete adapter's handle. A functor
+// taking stm::Txn& -- perfbench's traced TracePolicy passes one -- keeps
+// the per-access switch. The datastructure driver gates EnginePolicy at
+// <= 15% vs the DirectPolicy twin.
 //
 // Escape hatches mirror the time-base facade: get_if<LsaAdapter>(eng) for
 // telemetry that needs the concrete type, and stm::visit(eng, f) to hand

@@ -117,6 +117,16 @@ def load_benchmarks(blob):
     return out
 
 
+def load_min_over(paths):
+    """load_benchmarks over several blobs, keeping the min per row."""
+    out = {}
+    for path in paths:
+        with open(path) as f:
+            for name, ns in load_benchmarks(json.load(f)).items():
+                out[name] = min(out[name], ns) if name in out else ns
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="Compare bench --json output against BENCH_baseline.json")
@@ -194,16 +204,25 @@ def main():
                          "ratio of BM_Update_Commit_<E> in the SAME run "
                          "(default: 1.0 -- a read-only commit draws no "
                          "stamp, so it must not cost more than an update)")
-    ap.add_argument("--failpoints-blob", default=None,
-                    help="micro_stm --json blob from a CHRONOSTM_FAILPOINTS "
-                         "build (same host, same CI run). Pairs every "
-                         "BM_Update_Commit_* row by IDENTICAL name across "
-                         "the two blobs and requires the instrumented "
-                         "build within --failpoints-gate of the plain "
-                         "micro_stm blob: unarmed failpoints must cost "
-                         "noise at most, and the OFF build compiles the "
-                         "sites out entirely (the macro expands to the "
-                         "constant false)")
+    ap.add_argument("--failpoints-blob", action="append", default=[],
+                    help="micro_stm --json blob from one round of a "
+                         "CHRONOSTM_FAILPOINTS build's commit rows; repeat "
+                         "once per round. Pairs every BM_Update_Commit_* "
+                         "row by IDENTICAL name with the "
+                         "--failpoints-plain-blob rounds, min per row across "
+                         "rounds on each side, and requires the "
+                         "instrumented build within --failpoints-gate: "
+                         "unarmed failpoints must cost noise at most, and "
+                         "the OFF build compiles the sites out entirely "
+                         "(the macro expands to the constant false)")
+    ap.add_argument("--failpoints-plain-blob", action="append", default=[],
+                    help="micro_stm --json blob of the plain build's commit "
+                         "rows from the round run next to a "
+                         "--failpoints-blob round; repeat once per round. "
+                         "Alternating the two binaries keeps host drift "
+                         "out of the ratio: plain rows taken from the full "
+                         "micro_stm run minutes earlier failed the 1.05 "
+                         "gate at 1.19x on unchanged code")
     ap.add_argument("--failpoints-gate", type=float, default=1.05,
                     help="fail when a failpoints-build commit row exceeds "
                          "this ratio of its plain-build twin (default: "
@@ -216,7 +235,7 @@ def main():
                          "reported and the GEOMEAN per engine must stay "
                          "under --ds-facade-tolerance -- per-cell gating "
                          "would flake on the short queue cells, but the "
-                         "dispatch cost is a constant per slot access, so "
+                         "dispatch cost is a constant per transaction, so "
                          "the engine-level geomean is the stable signal. "
                          "The glock baseline is reported, not gated: its "
                          "near-empty transactions make the bounded "
@@ -249,6 +268,10 @@ def main():
                          "fresh --json blob; may be empty when only "
                          "--ds-blob gates are wanted")
     args = ap.parse_args()
+    if bool(args.failpoints_blob) != bool(args.failpoints_plain_blob):
+        print("error: --failpoints-blob and --failpoints-plain-blob come "
+              "together, one of each per alternating round", file=sys.stderr)
+        return 2
 
     try:
         with open(args.baseline) as f:
@@ -461,33 +484,36 @@ def main():
                   f"{ratio:>6.2f}x  {verdict}")
 
         # Failpoints overhead gate: CROSS-BLOB, same host and CI run. The
-        # second blob comes from a CHRONOSTM_FAILPOINTS build with no site
-        # armed; its commit rows carry whatever the per-site checks cost.
-        # Rows pair by identical name, commit shapes only (the sites sit
-        # on the commit and read paths; the single-var commit rows are the
-        # most sensitive to a constant per-site cost).
+        # fp blobs come from a CHRONOSTM_FAILPOINTS build with no site
+        # armed, the plain blobs from the ordinary build, the two binaries
+        # run alternately round by round; each side keeps its min per row
+        # across rounds. Rows pair by identical name, commit shapes only
+        # (the sites sit on the commit and read paths; the single-var
+        # commit rows are the most sensitive to a constant per-site cost).
         if driver == "micro_stm" and args.failpoints_blob:
             try:
-                with open(args.failpoints_blob) as f:
-                    fp_cur = load_benchmarks(json.load(f))
+                fp_cur = load_min_over(args.failpoints_blob)
+                plain_cur = load_min_over(args.failpoints_plain_blob)
             except (OSError, ValueError) as e:
-                print(f"error: cannot read {args.failpoints_blob}: {e}",
+                print(f"error: cannot read a failpoints blob: {e}",
                       file=sys.stderr)
                 return 2
             fp_pairs = sorted(
-                n for n in cur
+                n for n in plain_cur
                 if n.startswith("BM_Update_Commit_") and n in fp_cur)
             if not fp_pairs:
-                print("error: --failpoints-blob shares no "
-                      "BM_Update_Commit_* rows with the micro_stm blob",
-                      file=sys.stderr)
+                print("error: the --failpoints-blob and "
+                      "--failpoints-plain-blob rounds share no "
+                      "BM_Update_Commit_* rows", file=sys.stderr)
                 return 2
             print(f"\n{driver} failpoints build vs plain build "
-                  f"(gate {args.failpoints_gate:g}x, same host):")
+                  f"(gate {args.failpoints_gate:g}x, min of "
+                  f"{len(args.failpoints_plain_blob)} plain / "
+                  f"{len(args.failpoints_blob)} fp alternating rounds):")
             print(f"  {'benchmark':<44} {'plain ns':>10} {'fp ns':>10} "
                   f"{'ratio':>7}")
             for name in fp_pairs:
-                plain = cur[name]
+                plain = plain_cur[name]
                 fp_ns = fp_cur[name]
                 if plain <= 0:
                     continue

@@ -5,16 +5,23 @@
 // against STL references; multi-threaded runs check the transactional
 // invariants (net-size accounting, per-producer FIFO order, disjoint-
 // range determinism) and that the epoch heap drains to zero limbo.
+// The dispatch checks pin which handle EnginePolicy::run hands a functor
+// (the concrete DirectPolicy<A>::Tx for a generic one, stm::Txn for a
+// stm::Txn& one) and that abort and user exceptions settle the
+// allocation logs on both paths.
 //
 // CHRONOSTM_TIMEBASE adds time-base specs for the lsa/orec engines.
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <chronostm/ds/hashmap.hpp>
@@ -26,6 +33,24 @@
 #include "test_util.hpp"
 
 using namespace chronostm;
+
+// The dispatch checks watch one block through the global operator delete:
+// run_alloc_tx must hand a rolled-back tx_alloc block back exactly once.
+namespace {
+std::atomic<void*> g_watched{nullptr};
+std::atomic<int> g_watched_frees{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept {
+    if (p != nullptr && p == g_watched.load(std::memory_order_relaxed))
+        g_watched_frees.fetch_add(1, std::memory_order_relaxed);
+    std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -304,6 +329,118 @@ void check_queue_threaded(Policy pol, const char* label) {
     CHECK(q.heap().stats().limbo == 0);
 }
 
+// ---- EnginePolicy dispatch --------------------------------------------
+
+// TracePolicy's shape: wraps EnginePolicy and hands it a stm::Txn&
+// functor, so every transaction takes stm::Engine::run and the facade's
+// per-access switch.
+struct FacadeTxnPolicy {
+    using Ctx = stm::Context;
+    ds::EnginePolicy inner;
+
+    Ctx make_context() const { return inner.make_context(); }
+    template <typename F>
+    auto run(Ctx& ctx, F&& f) const {
+        return inner.run(ctx, [&](stm::Txn& t) { return f(t); });
+    }
+};
+
+struct UserError {};
+
+void count_reap(void*, void* ctx) noexcept { ++*static_cast<int*>(ctx); }
+
+// One policy path over one engine: `Expected` is the handle type its
+// functors must receive.
+template <typename Expected, typename Policy>
+void check_dispatch_path(const Policy& pol, const stm::Engine& eng,
+                         void* slot, const char* label) {
+    stm::TxHeap heap;
+    ds::TxHandle<Policy> h{pol.make_context(), heap.make_ctx()};
+    const auto check_handle = [&](auto& tx) {
+        using Got = std::decay_t<decltype(tx)>;
+        CHECK_MSG((std::is_same_v<Got, Expected>),
+                  "%s: functor got the wrong handle type", label);
+        if constexpr (std::is_same_v<Got, stm::Txn>)
+            CHECK_MSG(tx.kind() == eng.kind(), "%s: facade kind", label);
+    };
+
+    // A plain run, no allocation wrapper.
+    pol.run(h.ctx, [&](auto& tx) {
+        check_handle(tx);
+        tx.store(slot, tx.load(slot) + 1);
+    });
+
+    // tx.abort() on the first invocation: the engine re-invokes the
+    // functor, the retry commits, and the first attempt's block is freed.
+    int calls = 0;
+    void* kept = nullptr;
+    g_watched_frees.store(0);
+    ds::run_alloc_tx(pol, h, [&](auto& tx) {
+        check_handle(tx);
+        void* p = h.heap.tx_alloc(48);
+        if (++calls == 1) {
+            g_watched.store(p);
+            tx.abort();
+        }
+        kept = p;
+        tx.store(slot, tx.load(slot) + 1);
+    });
+    CHECK_MSG(calls == 2, "%s: abort re-invoked %d times", label, calls - 1);
+    CHECK_MSG(g_watched_frees.load() == 1,
+              "%s: aborted tx_alloc freed %d times", label,
+              g_watched_frees.load());
+    g_watched.store(nullptr);
+    ::operator delete(kept);  // the committed attempt's block is ours
+    CHECK_MSG(eng.slot_peek(slot) == 2, "%s: slot %llu after abort-retry",
+              label, static_cast<unsigned long long>(eng.slot_peek(slot)));
+
+    // A user exception escapes run_alloc_tx; the allocation is freed and
+    // the pending free forgotten, so a commit afterwards retires nothing.
+    void* victim = ::operator new(32);
+    int reaped = 0;
+    bool threw = false;
+    g_watched_frees.store(0);
+    try {
+        ds::run_alloc_tx(pol, h, [&](auto& tx) {
+            check_handle(tx);
+            void* p = h.heap.tx_alloc(40);
+            g_watched.store(p);
+            h.heap.tx_free(victim, &count_reap, &reaped);
+            if (tx.load(slot) == 2) throw UserError{};
+        });
+    } catch (const UserError&) {
+        threw = true;
+    }
+    g_watched.store(nullptr);
+    CHECK_MSG(threw, "%s: user exception swallowed", label);
+    CHECK_MSG(g_watched_frees.load() == 1,
+              "%s: tx_alloc before a user exception freed %d times", label,
+              g_watched_frees.load());
+    h.heap.commit();
+    heap.drain();
+    CHECK_MSG(reaped == 0 && heap.stats().retired == 0,
+              "%s: tx_free survived a user exception", label);
+    ::operator delete(victim);
+}
+
+// The same checks down both paths for one registry engine whose
+// concrete adapter is A.
+template <typename A>
+void check_dispatch(const stm::Engine& eng, const std::string& spec) {
+    alignas(64) unsigned char slot[64];
+    CHECK(eng.slot_size() <= sizeof slot);
+    const ds::EnginePolicy typed(eng);
+    eng.slot_init(slot, 0);
+    check_dispatch_path<typename ds::DirectPolicy<A>::Tx>(
+        typed, eng, slot, ("typed:" + spec).c_str());
+    eng.slot_destroy(slot);
+    const FacadeTxnPolicy facade{typed};
+    eng.slot_init(slot, 0);
+    check_dispatch_path<stm::Txn>(facade, eng, slot,
+                                  ("facade:" + spec).c_str());
+    eng.slot_destroy(slot);
+}
+
 template <typename MkPolicy>
 void check_all(MkPolicy mk, const std::string& label) {
     const char* l = label.c_str();
@@ -318,6 +455,13 @@ void check_all(MkPolicy mk, const std::string& label) {
 }  // namespace
 
 int main() {
+    for (const char* spec : {"lsa", "orec:bits=12", "tl2", "vstm", "glock"}) {
+        stm::Engine eng = stm::make(spec);
+        stm::visit(eng, [&](auto& adapter) {
+            check_dispatch<std::decay_t<decltype(adapter)>>(eng, spec);
+        });
+    }
+
     // Every registry engine through the type-erased policy.
     for (const char* spec : {"lsa", "orec:bits=12", "tl2", "vstm", "glock"}) {
         stm::Engine eng = stm::make(spec);
