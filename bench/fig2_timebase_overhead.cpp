@@ -83,7 +83,7 @@ Point measure_engine(const std::string& engine_spec,
 
 int main(int argc, char** argv) {
     Cli cli("Figure 2: time-base overhead, disjoint update transactions");
-    wl::flag_timebase(cli, "shared,batched:B=8,sharded:S=4,mmtimer,perfect");
+    wl::flag_timebase(cli, "shared,batched:B=8,mmtimer,perfect");
     wl::flag_engine(cli);
     wl::flag_epoch_filter(cli);
     wl::flag_filter_stripes(cli);
@@ -193,9 +193,9 @@ int main(int argc, char** argv) {
         t.add_note("series = engine '" + engine_name +
                    "' over each time base via the runtime facade; workload "
                    "identical");
-        t.add_note("batched/sharded trade freshness aborts (recently "
-                   "committed data is unreadable for ~2*deviation stamps) "
-                   "for fewer shared-line RMWs; tune via B / S,K");
+        t.add_note("batched trades freshness aborts (recently committed "
+                   "data is unreadable for ~2*deviation stamps) for fewer "
+                   "shared-line RMWs; tune via B");
         t.print(std::cout);
 
         // Shape checks on the non-oversubscribed prefix, only for the

@@ -7,7 +7,7 @@
 // Time bases resolve through the runtime facade (tb::make): the static
 // Counter/Clock rows cover the baseline-gated configurations, and the
 // uniform --timebase=<spec[,spec...]> flag registers extra
-// BM_ReadOnly_TB/... rows for any registry spec (sharded, adaptive, ...).
+// BM_ReadOnly_TB/... rows for any registry spec (batched:B=16, perfect, ...).
 // --engine=orec points those dynamic rows at the orec engine instead.
 //
 // Engine rows (baseline-gated by scripts/check_bench.py):
@@ -209,7 +209,7 @@ void bm_extend_lsa(benchmark::State& state, const std::string& spec,
     auto ctx = rig.stm.make_context();
     auto side = rig.stm.time_base().make_thread_clock();
     // Warm block-drawing bases past their deviation window: on a fresh
-    // batched/sharded counter even the initial version 0 is inadmissible
+    // batched counter even the initial version 0 is inadmissible
     // (0 + 2*deviation <= get_time() fails) and the raw reads below
     // would throw a freshness abort.
     for (int i = 0; i < 64; ++i) side.get_new_ts();
@@ -492,12 +492,6 @@ void BM_Extend_Lsa_Batched8(benchmark::State& s) {
 void BM_Extend_Lsa_Batched8_NoFilter(benchmark::State& s) {
     bm_extend_lsa(s, "batched:B=8", false);
 }
-void BM_Extend_Lsa_Sharded4(benchmark::State& s) {
-    bm_extend_lsa(s, "sharded:S=4", true);
-}
-void BM_Extend_Lsa_Sharded4_NoFilter(benchmark::State& s) {
-    bm_extend_lsa(s, "sharded:S=4", false);
-}
 void BM_Extend_Lsa_DisjointWriter(benchmark::State& s) {
     bm_extend_lsa_disjoint(s, 64);
 }
@@ -542,8 +536,6 @@ BENCHMARK(BM_Extend_Orec)->Arg(1024)->Arg(8192);
 BENCHMARK(BM_Extend_Orec_NoFilter)->Arg(1024)->Arg(8192);
 BENCHMARK(BM_Extend_Lsa_Batched8)->Arg(8192);
 BENCHMARK(BM_Extend_Lsa_Batched8_NoFilter)->Arg(8192);
-BENCHMARK(BM_Extend_Lsa_Sharded4)->Arg(8192);
-BENCHMARK(BM_Extend_Lsa_Sharded4_NoFilter)->Arg(8192);
 BENCHMARK(BM_Extend_Lsa_DisjointWriter)->Arg(8192);
 BENCHMARK(BM_Extend_Lsa_DisjointWriter_Stripe1)->Arg(8192);
 BENCHMARK(BM_Extend_Orec_DisjointWriter)->Arg(8192);

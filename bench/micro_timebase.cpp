@@ -13,7 +13,7 @@
 // nothing else in the tree calls concrete clocks directly anymore.
 //
 // The uniform --timebase=<spec[,spec...]> flag adds facade rows for any
-// registry spec (e.g. --timebase=sharded:S=8,K=2).
+// registry spec (e.g. --timebase=batched:B=16).
 
 #include <benchmark/benchmark.h>
 
@@ -33,8 +33,6 @@ tb::SharedCounterTimeBase g_counter;
 tb::Tl2SharedCounterTimeBase g_tl2_counter;
 tb::BatchedCounterTimeBase g_batched_counter;       // default block size 8
 tb::BatchedCounterTimeBase g_batched_counter_64{64};  // throughput-tuned
-tb::ShardedCounterTimeBase g_sharded_counter;       // default S=4, K=4
-tb::AdaptiveTimeBase g_adaptive;  // default ladder, latency-triggered
 tb::PerfectClockTimeBase& perfect_clock() {
     static tb::PerfectClockTimeBase tbase(tb::PerfectSource::Auto);
     return tbase;
@@ -118,13 +116,6 @@ void BM_BatchedCounter_GetNewTs(benchmark::State& s) {
 void BM_BatchedCounter64_GetNewTs(benchmark::State& s) {
     bm_get_new_ts(s, g_batched_counter_64);
 }
-void BM_ShardedCounter_GetTime(benchmark::State& s) {
-    bm_get_time(s, g_sharded_counter);
-}
-void BM_ShardedCounter_GetNewTs(benchmark::State& s) {
-    bm_get_new_ts(s, g_sharded_counter);
-}
-void BM_Adaptive_GetNewTs(benchmark::State& s) { bm_get_new_ts(s, g_adaptive); }
 void BM_PerfectClock_GetTime(benchmark::State& s) {
     bm_get_time(s, perfect_clock());
 }
@@ -151,12 +142,6 @@ void BM_Facade_BatchedCounter_GetNewTs(benchmark::State& s) {
 void BM_Facade_BatchedCounter64_GetNewTs(benchmark::State& s) {
     bm_facade_get_new_ts(s, g_batched_counter_64);
 }
-void BM_Facade_ShardedCounter_GetNewTs(benchmark::State& s) {
-    bm_facade_get_new_ts(s, g_sharded_counter);
-}
-void BM_Facade_Adaptive_GetNewTs(benchmark::State& s) {
-    bm_facade_get_new_ts(s, g_adaptive);
-}
 void BM_Facade_PerfectClock_GetTime(benchmark::State& s) {
     bm_facade_get_time(s, perfect_clock());
 }
@@ -176,9 +161,6 @@ BENCHMARK(BM_Tl2Counter_GetNewTs);
 BENCHMARK(BM_BatchedCounter_GetTime);
 BENCHMARK(BM_BatchedCounter_GetNewTs);
 BENCHMARK(BM_BatchedCounter64_GetNewTs);
-BENCHMARK(BM_ShardedCounter_GetTime);
-BENCHMARK(BM_ShardedCounter_GetNewTs);
-BENCHMARK(BM_Adaptive_GetNewTs);
 BENCHMARK(BM_PerfectClock_GetTime);
 BENCHMARK(BM_PerfectClock_GetNewTs);
 BENCHMARK(BM_MMTimer_GetTime);
@@ -191,21 +173,16 @@ BENCHMARK(BM_Facade_SharedCounter_GetNewTs);
 BENCHMARK(BM_Facade_Tl2Counter_GetNewTs);
 BENCHMARK(BM_Facade_BatchedCounter_GetNewTs);
 BENCHMARK(BM_Facade_BatchedCounter64_GetNewTs);
-BENCHMARK(BM_Facade_ShardedCounter_GetNewTs);
-BENCHMARK(BM_Facade_Adaptive_GetNewTs);
 BENCHMARK(BM_Facade_PerfectClock_GetTime);
 BENCHMARK(BM_Facade_PerfectClock_GetNewTs);
 BENCHMARK(BM_Facade_ExtSync_GetNewTs);
 
 // Contention scaling: the whole point of the paper in a few benchmark
-// lines. The batched counter touches the shared line once per block; the
-// sharded counter gives each thread group its own line.
+// lines. The batched counter touches the shared line once per block.
 BENCHMARK(BM_SharedCounter_GetNewTs)->Threads(2)->UseRealTime();
 BENCHMARK(BM_Tl2Counter_GetNewTs)->Threads(2)->UseRealTime();
 BENCHMARK(BM_BatchedCounter_GetNewTs)->Threads(2)->UseRealTime();
 BENCHMARK(BM_BatchedCounter64_GetNewTs)->Threads(2)->UseRealTime();
-BENCHMARK(BM_ShardedCounter_GetNewTs)->Threads(2)->UseRealTime();
-BENCHMARK(BM_Adaptive_GetNewTs)->Threads(2)->UseRealTime();
 BENCHMARK(BM_PerfectClock_GetTime)->Threads(2)->UseRealTime();
 BENCHMARK(BM_PerfectClock_GetNewTs)->Threads(2)->UseRealTime();
 

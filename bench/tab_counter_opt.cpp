@@ -55,7 +55,7 @@ Point measure(A& adapter, unsigned threads, unsigned accesses,
 
 int main(int argc, char** argv) {
     Cli cli("Section 4.2 ablation: TL2-style counter optimization");
-    wl::flag_timebase(cli, "shared,tl2,batched:B=8,sharded:S=4,perfect");
+    wl::flag_timebase(cli, "shared,tl2,batched:B=8,perfect");
     wl::flag_engine(cli);
     cli.flag_i64("duration-ms", 300, "measured window per point")
         .flag_i64("accesses", 10, "accesses per transaction")
@@ -122,9 +122,7 @@ int main(int argc, char** argv) {
         t.add_row(row);
     }
     t.add_note("BatchedCounter: 1/B the counter RMWs, but data committed "
-               "within ~B stamps is unreadable (freshness aborts); the "
-               "sharded counter trades the same freshness for per-shard "
-               "lines");
+               "within ~B stamps is unreadable (freshness aborts)");
     t.print(std::cout);
 
     // Paper's claim: the TL2-style optimization gives no meaningful

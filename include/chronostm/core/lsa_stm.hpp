@@ -494,7 +494,7 @@ class Transaction
             // (conflict -- backoff resolves it, the retry must not drain
             // stamp blocks), while time-not-advanced and the unusable-
             // old-version case are freshness -- run() may draw-and-
-            // discard a stamp so batched/sharded counters advance.
+            // discard a stamp so batched counters advance.
             throw detail::AbortTx{!conflict};
         }
     }
@@ -725,7 +725,7 @@ inline Transaction::Transaction(ThreadContext& ctx)
     // The snapshot's lower bound starts at the begin observation, not
     // at 0: read_old_version() must never serialize this transaction
     // before a version that provably ended before it began. Without
-    // this floor, a deviating time base (batched/sharded stamps) lets
+    // this floor, a deviating time base (batched stamps) lets
     // a fresh reader fall back to a history entry that died before
     // begin -- a stale read where the time-base contract promises a
     // freshness abort. Exact counters are unaffected (the newest

@@ -30,7 +30,7 @@
 //    drew itself (stamps are globally unique, so it is this thread's own
 //    earlier commit) is admitted with no deviation shrink at all -- see
 //    detail::RecentStamps. Without it, a thread re-reading what its
-//    previous transaction wrote under a batched/sharded base burns draws
+//    previous transaction wrote under a batched base burns draws
 //    until the counter outruns its own stamps;
 //  * single-version: no history ring to fall back on, so a reader that
 //    cannot extend aborts where the TVar engine might serve an old version;
@@ -115,8 +115,8 @@ inline std::uint64_t orec_merge(std::uint64_t mem, std::uint64_t val,
 // thread's OWN earlier commit: it was published before the current
 // transaction began, hence certainly current when the snapshot anchor
 // was taken -- admissible with NO deviation shrink, whatever the
-// numeric gap to `upper`. This is what keeps imprecise bases (batched,
-// sharded) off the extend/abort path when a transaction re-reads what
+// numeric gap to `upper`. This is what keeps an imprecise base (batched)
+// off the extend/abort path when a transaction re-reads what
 // its predecessor just wrote: the counter may lag the thread's own
 // stamps by up to the deviation, and without this the thread would burn
 // draws until the counter catches up with itself. Bounded ring: only
@@ -498,9 +498,9 @@ __attribute__((noinline)) inline std::uint64_t OrecTransaction::load_slow(
         // orec table keeps no history -- so failure to extend aborts. The
         // extension's failure reason decides the class: a failed read-set
         // walk is a data CONFLICT (backoff resolves it; the retry must
-        // not drain batched/sharded stamp blocks), while time-not-
+        // not drain batched stamp blocks), while time-not-
         // advanced is FRESHNESS -- run() may draw-and-discard a stamp so
-        // batched/sharded counters advance.
+        // batched counters advance.
         extend_or_abort();
     }
 }

@@ -204,7 +204,7 @@ inline constexpr std::size_t kInlineScan = 8;
 // because the time base itself had not advanced past `upper` (a too-new
 // version with no usable old one). Only these aborts warrant run()'s
 // draw-and-discard stamp: conflict aborts resolve through backoff and must
-// not drain batched/sharded counter blocks.
+// not drain batched counter blocks.
 struct AbortTx {
     bool freshness = false;
 };
@@ -863,7 +863,7 @@ class SnapshotTx {
     // simply has not advanced past upper_ (a FRESHNESS condition), true
     // means walk_read_set() found a changed or locked read-set word (a
     // data CONFLICT -- per the abort taxonomy in DESIGN.md, backoff
-    // resolves it and the retry must not drain batched/sharded stamp
+    // resolves it and the retry must not drain batched stamp
     // blocks with a forced draw).
     // An unarmed attempt skips the filter and walks.
     bool try_extend() {
@@ -1264,7 +1264,7 @@ class SnapshotTx {
         if (lower_ > commit_ts) {
             if (!irrevocable_) {
                 // The stamp lags the snapshot's lower bound -- a time-base
-                // freshness problem (batched/sharded blocks), not a data
+                // freshness problem (batched blocks), not a data
                 // conflict. Flag it so run() draws the counter forward.
                 commit_stamp_stale_ = true;
                 return false;
@@ -1396,11 +1396,11 @@ class SnapshotContext {
     // forever, and a snapshot that can never reach the present retries
     // forever (freshness needs upper >= version + 2*dev). Conflict aborts
     // resolve through backoff alone and must not drain the
-    // batched/sharded stamp blocks. The converse holds too: a freshness
+    // batched stamp blocks. The converse holds too: a freshness
     // abort is not contention -- nobody holds anything this attempt is
     // waiting on, the snapshot is merely stale -- so it retries
     // immediately after the draw. Backing off there would serialize
-    // single-thread batched/sharded workloads behind sleep time for no
+    // single-thread batched workloads behind sleep time for no
     // benefit.
     __attribute__((noinline)) void abort_pause(unsigned attempt,
                                                bool freshness) {

@@ -61,10 +61,10 @@ struct MachineConfig {
     // crosses only the domain's diameter (log2(P/D) hops instead of
     // log2(P)). BEGIN reads the mostly-shared watermark line at local
     // cost, and every `watermark_period`-th commit per processor pays one
-    // globally-arbitrated watermark publish (full-diameter transfer) --
-    // the simulator's analogue of sharded_counter.hpp's band K, scaled up
-    // because simulated transactions are ~2us against ~10ns draws on a
-    // real host.
+    // globally-arbitrated watermark publish (full-diameter transfer): the
+    // cost of a watermark that trails each domain line by a bounded band.
+    // The period is long because simulated transactions are ~2us against
+    // ~10ns counter draws on a real host.
     unsigned clock_domains = 1;
     unsigned watermark_period = 32;
 

@@ -1,10 +1,9 @@
 // Scalable shared counter: threads draw timestamp BLOCKS of size B with one
 // fetch-and-add instead of one RMW per commit, so the counter cache line is
-// touched 1/B as often -- the ROADMAP's "sharded/batched counters" scaling
-// direction, built on the paper's imprecise-time-base contract (Section 3:
-// a time base may return stamps that deviate from true time by a published
-// bound; the STM shrinks every validity range by that bound and loses only
-// freshness, never correctness).
+// touched 1/B as often. It is built on the paper's imprecise-time-base
+// contract (Section 3: a time base may return stamps that deviate from true
+// time by a published bound; the STM shrinks every validity range by that
+// bound and loses only freshness, never correctness).
 //
 // Contract and why the bound holds:
 //  * get_time() is an exact read of the shared counter.

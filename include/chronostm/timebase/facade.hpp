@@ -25,9 +25,6 @@
 //   shared                       exact shared counter
 //   tl2                          CAS counter with TL2-style stamp sharing
 //   batched[:B=8]                per-thread stamp blocks of B
-//   sharded[:S=4,K=4]            S shard lines, watermark band K
-//   adaptive[:S=4,B=8,L=4,threshold-ns=250,sample=64,trips=4]
-//                                shared -> batched -> sharded escalation
 //   perfect[:source=auto|tsc|steady]   synchronized hardware clock
 //   mmtimer[:freq-hz=2e7,latency=7,nodes=1,offset=0]   simulated MMTimer
 //   extsync[:devices=2,freq-hz=1e9,offset=0,dev=100]   ext.-sync'd clocks
@@ -48,14 +45,12 @@
 #include <utility>
 #include <vector>
 
-#include <chronostm/timebase/adaptive.hpp>
 #include <chronostm/timebase/batched_counter.hpp>
 #include <chronostm/timebase/common.hpp>
 #include <chronostm/timebase/ext_sync_clock.hpp>
 #include <chronostm/timebase/mmtimer.hpp>
 #include <chronostm/timebase/perfect_clock.hpp>
 #include <chronostm/timebase/shared_counter.hpp>
-#include <chronostm/timebase/sharded_counter.hpp>
 #include <chronostm/timebase/tl2_shared_counter.hpp>
 
 namespace chronostm {
@@ -65,8 +60,6 @@ enum class Kind : unsigned char {
     kShared,
     kTl2,
     kBatched,
-    kSharded,
-    kAdaptive,
     kPerfect,
     kMMTimer,
     kExtSync,
@@ -98,8 +91,6 @@ class ThreadClock {
         SharedCounterTimeBase::ThreadClock shared;
         Tl2SharedCounterTimeBase::ThreadClock tl2;
         BatchedCounterTimeBase::ThreadClock batched;
-        ShardedCounterTimeBase::ThreadClock sharded;
-        AdaptiveTimeBase::ThreadClock adaptive;
         PerfectClockTimeBase::ThreadClock perfect;
         MMTimerClockTimeBase::ThreadClock mmtimer;
         ExtSyncTimeBase::ThreadClock extsync;
@@ -139,10 +130,6 @@ class ThreadClock {
             return hot_counter_->load(std::memory_order_acquire);
         if (kind_ == Kind::kBatched)
             return as<BatchedCounterTimeBase::ThreadClock>().get_time();
-        if (kind_ == Kind::kSharded)
-            return as<ShardedCounterTimeBase::ThreadClock>().get_time();
-        if (kind_ == Kind::kAdaptive)
-            return as<AdaptiveTimeBase::ThreadClock>().get_time();
         if (kind_ == Kind::kTl2)
             return as<Tl2SharedCounterTimeBase::ThreadClock>().get_time();
         if (kind_ == Kind::kPerfect)
@@ -161,10 +148,6 @@ class ThreadClock {
             return hot_counter_->fetch_add(1, std::memory_order_acq_rel) + 1;
         if (kind_ == Kind::kBatched)
             return as<BatchedCounterTimeBase::ThreadClock>().get_new_ts();
-        if (kind_ == Kind::kSharded)
-            return as<ShardedCounterTimeBase::ThreadClock>().get_new_ts();
-        if (kind_ == Kind::kAdaptive)
-            return as<AdaptiveTimeBase::ThreadClock>().get_new_ts();
         if (kind_ == Kind::kTl2)
             return as<Tl2SharedCounterTimeBase::ThreadClock>().get_new_ts();
         if (kind_ == Kind::kPerfect)
@@ -206,11 +189,6 @@ class ThreadClock {
         else if constexpr (std::is_same_v<
                                C, BatchedCounterTimeBase::ThreadClock>)
             return u_.batched;
-        else if constexpr (std::is_same_v<
-                               C, ShardedCounterTimeBase::ThreadClock>)
-            return u_.sharded;
-        else if constexpr (std::is_same_v<C, AdaptiveTimeBase::ThreadClock>)
-            return u_.adaptive;
         else if constexpr (std::is_same_v<
                                C, PerfectClockTimeBase::ThreadClock>)
             return u_.perfect;
@@ -281,14 +259,6 @@ class TimeBase {
         return TimeBase(Kind::kBatched, &b,
                         "batched:B=" + std::to_string(b.block_size()));
     }
-    static TimeBase wrap(ShardedCounterTimeBase& b) {
-        return TimeBase(Kind::kSharded, &b,
-                        "sharded:S=" + std::to_string(b.shard_count()) +
-                            ",K=" + std::to_string(b.band()));
-    }
-    static TimeBase wrap(AdaptiveTimeBase& b) {
-        return TimeBase(Kind::kAdaptive, &b, "adaptive");
-    }
     static TimeBase wrap(PerfectClockTimeBase& b) {
         return TimeBase(Kind::kPerfect, &b, "perfect");
     }
@@ -345,12 +315,6 @@ class TimeBase {
             case Kind::kBatched:
                 return ThreadClock(
                     kind_, impl<BatchedCounterTimeBase>()->make_thread_clock());
-            case Kind::kSharded:
-                return ThreadClock(
-                    kind_, impl<ShardedCounterTimeBase>()->make_thread_clock());
-            case Kind::kAdaptive:
-                return ThreadClock(
-                    kind_, impl<AdaptiveTimeBase>()->make_thread_clock());
             case Kind::kPerfect:
                 return ThreadClock(
                     kind_, impl<PerfectClockTimeBase>()->make_thread_clock());
@@ -372,10 +336,6 @@ class TimeBase {
             case Kind::kTl2: return Tl2SharedCounterTimeBase::deviation();
             case Kind::kBatched:
                 return impl<BatchedCounterTimeBase>()->deviation();
-            case Kind::kSharded:
-                return impl<ShardedCounterTimeBase>()->deviation();
-            case Kind::kAdaptive:
-                return impl<AdaptiveTimeBase>()->deviation();
             case Kind::kPerfect: return PerfectClockTimeBase::deviation();
             case Kind::kMMTimer:
                 return impl<MMTimerClockTimeBase>()->deviation();
@@ -387,7 +347,7 @@ class TimeBase {
     }
 
     // Concrete access for drivers that report base-specific telemetry
-    // (e.g. the TL2 counter's shared-stamp count, adaptive's mode).
+    // (e.g. the TL2 counter's shared-stamp count, the batched block size).
     // Returns nullptr when the handle wraps a different kind. External
     // wraps always return nullptr: the kind tag cannot distinguish two
     // out-of-enum types, so a cast would be type confusion.
@@ -434,10 +394,6 @@ class TimeBase {
             return Kind::kTl2;
         else if constexpr (std::is_same_v<TB, BatchedCounterTimeBase>)
             return Kind::kBatched;
-        else if constexpr (std::is_same_v<TB, ShardedCounterTimeBase>)
-            return Kind::kSharded;
-        else if constexpr (std::is_same_v<TB, AdaptiveTimeBase>)
-            return Kind::kAdaptive;
         else if constexpr (std::is_same_v<TB, PerfectClockTimeBase>)
             return Kind::kPerfect;
         else if constexpr (std::is_same_v<TB, MMTimerClockTimeBase>)
@@ -590,10 +546,6 @@ inline const std::vector<KnownBase>& known_bases() {
         {"shared", "shared", "exact shared-counter time base (paper 3.1)"},
         {"tl2", "tl2", "shared counter with TL2-style stamp sharing (4.2)"},
         {"batched", "batched:B=8", "per-thread stamp blocks of B (PR 3)"},
-        {"sharded", "sharded:S=4,K=4",
-         "S shard lines + watermark, band K"},
-        {"adaptive", "adaptive:S=4,B=8,L=4,threshold-ns=250",
-         "shared->batched->sharded escalation on sampled draw latency"},
         {"perfect", "perfect:source=auto",
          "synchronized hardware clock (TSC/steady, paper 3.2)"},
         {"mmtimer", "mmtimer:freq-hz=2e7,latency=7,nodes=1,offset=0",
@@ -666,33 +618,6 @@ inline TimeBase make(const std::string& spec_str) {
         const auto b = spec.u64("b", 8);
         return TimeBase::make_owning<BatchedCounterTimeBase>(
             Kind::kBatched, "batched:B=" + std::to_string(b), b);
-    }
-    if (spec.name == "sharded") {
-        reject_unknown_keys({"s", "k"});
-        const auto s = spec.u64("s", 4);
-        const auto k = spec.u64("k", 4);
-        return TimeBase::make_owning<ShardedCounterTimeBase>(
-            Kind::kSharded,
-            "sharded:S=" + std::to_string(s) + ",K=" + std::to_string(k), s,
-            k);
-    }
-    if (spec.name == "adaptive") {
-        reject_unknown_keys(
-            {"s", "b", "l", "threshold-ns", "sample", "trips"});
-        AdaptiveTimeBase::Params p;
-        p.shards = spec.u64("s", p.shards);
-        p.block = spec.u64("b", p.block);
-        p.band = spec.u64("l", p.band);
-        p.threshold_ns = spec.u64("threshold-ns", p.threshold_ns);
-        p.sample_every =
-            static_cast<std::uint32_t>(spec.u64("sample", p.sample_every));
-        p.trips = static_cast<std::uint32_t>(spec.u64("trips", p.trips));
-        return TimeBase::make_owning<AdaptiveTimeBase>(
-            Kind::kAdaptive,
-            "adaptive:S=" + std::to_string(p.shards) +
-                ",B=" + std::to_string(p.block) +
-                ",L=" + std::to_string(p.band),
-            p);
     }
     if (spec.name == "perfect") {
         reject_unknown_keys({"source"});

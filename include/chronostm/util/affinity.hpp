@@ -1,16 +1,10 @@
-// CPU topology helpers: hardware thread count, best-effort pinning (the
+// CPU topology helpers: hardware thread count and best-effort pinning (the
 // paper's scaling curves assume one thread per processor; pinning removes
-// migration noise on Linux, and is a no-op elsewhere), and NUMA topology
-// discovery from sysfs so NUMA-aware components (the sharded counter's
-// shard assignment) can keep their cache lines inside one memory domain.
-// Everything degrades gracefully: unknown topology reads as one node.
+// migration noise on Linux, and is a no-op elsewhere).
 
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
-#include <vector>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -36,89 +30,6 @@ inline bool pin_to_cpu(unsigned cpu) {
     (void)cpu;
     return false;
 #endif
-}
-
-// CPU the calling thread is running on right now, or -1 where unknown.
-inline int current_cpu() {
-#if defined(__linux__)
-    return sched_getcpu();
-#else
-    return -1;
-#endif
-}
-
-namespace detail {
-
-// cpu -> dense NUMA node index, parsed once from
-// /sys/devices/system/node/node*/cpulist ("0-3,8-11" range lists). Node
-// directories need not be contiguous; found nodes are renumbered densely
-// so callers can use the node index directly as an array index.
-struct NumaTopology {
-    int nodes = 1;
-    std::vector<int> cpu_node;  // cpu -> dense node index; -1 = unknown
-};
-
-inline NumaTopology load_numa_topology() {
-    NumaTopology t;
-#if defined(__linux__)
-    int dense = 0;
-    int misses = 0;
-    for (int node = 0; node < 1024 && misses < 64; ++node) {
-        char path[128];
-        std::snprintf(path, sizeof path,
-                      "/sys/devices/system/node/node%d/cpulist", node);
-        std::FILE* f = std::fopen(path, "re");
-        if (f == nullptr) {
-            ++misses;
-            continue;
-        }
-        misses = 0;
-        char buf[4096];
-        const bool got = std::fgets(buf, sizeof buf, f) != nullptr;
-        std::fclose(f);
-        if (!got) continue;
-        const char* p = buf;
-        while (*p != '\0' && *p != '\n') {
-            char* end = nullptr;
-            const long lo = std::strtol(p, &end, 10);
-            if (end == p) break;
-            long hi = lo;
-            p = end;
-            if (*p == '-') {
-                hi = std::strtol(p + 1, &end, 10);
-                if (end == p + 1) break;
-                p = end;
-            }
-            for (long cpu = lo; cpu >= 0 && cpu <= hi && cpu < 4096; ++cpu) {
-                if (static_cast<std::size_t>(cpu) >= t.cpu_node.size())
-                    t.cpu_node.resize(static_cast<std::size_t>(cpu) + 1, -1);
-                t.cpu_node[static_cast<std::size_t>(cpu)] = dense;
-            }
-            if (*p == ',') ++p;
-        }
-        ++dense;
-    }
-    if (dense > 0) t.nodes = dense;
-#endif
-    return t;
-}
-
-inline const NumaTopology& numa_topology() {
-    static const NumaTopology t = load_numa_topology();
-    return t;
-}
-
-}  // namespace detail
-
-// Number of NUMA nodes (1 where topology is unavailable).
-inline int numa_node_count() { return detail::numa_topology().nodes; }
-
-// Dense NUMA node index of `cpu`, or -1 where unknown.
-inline int numa_node_of_cpu(int cpu) {
-    const auto& t = detail::numa_topology();
-    if (cpu < 0 || static_cast<std::size_t>(cpu) >= t.cpu_node.size())
-        return -1;
-    return t.cpu_node[static_cast<std::size_t>(cpu)];
 }
 
 }  // namespace chronostm

@@ -4,8 +4,8 @@
 //
 // Two layers are exercised:
 //  * the LSA core directly, over time bases selected BY STRING KEY through
-//    the runtime-pluggable facade (tb::make) -- counters exact, batched,
-//    sharded, and adaptive included -- plus a wrapped custom-device
+//    the runtime-pluggable facade (tb::make) -- exact and batched
+//    counters included -- plus a wrapped custom-device
 //    ExtSync base, cross-checking the commit count against the work
 //    actually submitted;
 //  * the stm/adapter.hpp facade, over every engine behind it -- LSA-RT,
@@ -111,13 +111,10 @@ void check_bank_facade(A& adapter, const char* name) {
 
 int main() {
     // Every counter family and the hardware clock, by registry key. The
-    // imprecise bases (batched/sharded/adaptive) may cost retries but
-    // never atomicity; adaptive additionally crosses its escalation ladder
-    // mid-run on a 1-CPU host only if the latency trigger trips -- the
-    // deterministic mid-switch schedule lives in test_timebase_facade.
+    // imprecise bases (batched blocks; B=16 publishes deviation 8) may
+    // cost retries but never atomicity.
     for (const char* spec :
-         {"shared", "perfect", "batched:B=8", "sharded:S=4,K=8",
-          "adaptive:S=4,B=8,L=16"})
+         {"shared", "perfect", "batched:B=8", "batched:B=16"})
         check_bank(tb::make(spec), spec);
     if (const char* env = std::getenv("CHRONOSTM_TIMEBASE"))
         for (const auto& spec : tb::split_specs(env))
@@ -143,13 +140,12 @@ int main() {
     // engine runs the CI tier-1 time-base matrix (same specs as the core
     // pass) -- its commit protocol touches the time base at the same
     // points, so an imprecise base must cost only retries there too.
-    for (const char* spec : {"shared", "perfect", "batched:B=64",
-                             "sharded:S=2,K=4", "adaptive:S=2"}) {
+    for (const char* spec : {"shared", "perfect", "batched:B=64"}) {
         stm::LsaAdapter a(tb::make(spec));
         check_bank_facade(a, spec);
     }
-    for (const char* spec : {"shared", "perfect", "batched:B=8",
-                             "sharded:S=4,K=8", "adaptive:S=4,B=8,L=16"}) {
+    for (const char* spec :
+         {"shared", "perfect", "batched:B=8", "batched:B=16"}) {
         stm::OrecAdapter a(tb::make(spec));
         check_bank_facade(a, (std::string("orec/") + spec).c_str());
     }

@@ -24,9 +24,10 @@
 //     incrementer of x must never certify a stale x through the commit
 //     fast path (the post-stamp-draw epoch re-check), caught by a
 //     cross-snapshot monotonicity oracle
-//   * adversarial writer-vs-reader invariant sweeps over shared, batched
-//     and sharded time bases on both engines, filter on and off; filter
-//     off must report zero fast hits (the walk runs every time)
+//   * adversarial writer-vs-reader invariant sweeps over shared and
+//     batched (B=8, B=16) time bases on both engines, filter on and
+//     off; filter off must report zero fast hits (the walk runs every
+//     time)
 //   * both concurrent oracles arm the stripes mid-run, so each covers
 //     unarmed attempts, the switch, and armed attempts
 
@@ -379,7 +380,7 @@ void check_copier_race() {
     // over the degenerate single-word filter, a coarse striping that
     // aliases x and y's stripes on some geometries, and the default.
     for (const unsigned stripes : {1u, 4u, 64u}) {
-        for (const char* spec : {"shared", "batched:B=8", "sharded:S=4"}) {
+        for (const char* spec : {"shared", "batched:B=8", "batched:B=16"}) {
             StmConfig lsa;
             lsa.max_versions = 1;
             lsa.filter_stripes = stripes;
@@ -392,7 +393,7 @@ void check_copier_race() {
 }
 
 void check_adversarial_sweep() {
-    for (const char* spec : {"shared", "batched:B=8", "sharded:S=4"}) {
+    for (const char* spec : {"shared", "batched:B=8", "batched:B=16"}) {
         adversarial_cell<stm::LsaAdapter>(spec, StmConfig{});
         adversarial_cell<stm::OrecAdapter>(spec, OrecConfig{});
     }

@@ -359,7 +359,7 @@ void check_doomed_reader(const std::string& espec,
     });
 
     // Exactly one doomed pass plus the committing retry under exact
-    // counters; deviating time bases (batched/sharded stamps) may insert
+    // counters; deviating time bases (batched stamps) may insert
     // freshness aborts between the two while the counter catches up to
     // the writer's stamp block.
     CHECK_MSG(pass >= 2, "engine %s: doomed attempt did not retry (pass %d)",

@@ -6,23 +6,12 @@
 //  * Wrapping: TimeBase::wrap shares state with the wrapped object (the
 //    facade is a view, not a copy), and wrap_external routes an
 //    out-of-enum base through the function-pointer escape hatch.
-//  * Sharded counter: stamps are globally unique across shards, carry the
-//    shard residue, and every get_time observation stays within the
-//    documented pairwise bound of a later stamp.
-//  * Adaptive switch (the correctness-interesting part): 8 threads draw
-//    stamps while the base is escalated single -> batched -> sharded
-//    MID-RUN at deterministic points; per-thread strict monotonicity,
-//    global uniqueness, and the deviation bound must survive both
-//    switches. Run under TSan in CI: the switch is the new concurrency
-//    hazard.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <chronostm/timebase/facade.hpp>
@@ -62,18 +51,13 @@ void check_registry_roundtrip() {
         auto tbase = tb::make("batched:B=16");
         auto* b = tbase.get_if<tb::BatchedCounterTimeBase>();
         CHECK(b != nullptr && b->block_size() == 16);
-        CHECK(tbase.get_if<tb::ShardedCounterTimeBase>() == nullptr);
+        CHECK(tbase.get_if<tb::Tl2SharedCounterTimeBase>() == nullptr);
         CHECK(tbase.deviation() == b->deviation());
-    }
-    {
-        auto tbase = tb::make("sharded:S=8,K=2");
-        auto* s = tbase.get_if<tb::ShardedCounterTimeBase>();
-        CHECK(s != nullptr && s->shard_count() == 8 && s->band() == 2);
     }
     // Case-insensitive keys, loud failures.
     CHECK(tb::make("batched:b=32").get_if<tb::BatchedCounterTimeBase>()
               ->block_size() == 32);
-    for (const char* bad : {"no-such-base", "batched:Q=1", "sharded:S=x",
+    for (const char* bad : {"no-such-base", "batched:Q=1", "batched:B=x",
                             "perfect:source=sundial", "batched:B"}) {
         bool threw = false;
         try {
@@ -83,13 +67,25 @@ void check_registry_roundtrip() {
         }
         CHECK_MSG(threw, "spec %s did not throw", bad);
     }
+    // No base answers to these names: a stale --timebase flag must fail
+    // at startup through the unknown-name path, not run another base.
+    for (const char* gone : {"sharded", "sharded:S=4", "adaptive"}) {
+        std::string what;
+        try {
+            tb::make(gone);
+        } catch (const std::invalid_argument& e) {
+            what = e.what();
+        }
+        CHECK_MSG(what.find("unknown time base") != std::string::npos,
+                  "spec %s: '%s'", gone, what.c_str());
+    }
     // split_specs keeps params attached to their spec.
     const auto specs =
-        tb::split_specs("shared,batched:B=8,K=2,adaptive:S=4,perfect");
+        tb::split_specs("shared,batched:B=8,K=2,extsync:devices=2,perfect");
     CHECK(specs.size() == 4);
     CHECK(specs[0] == "shared");
     CHECK(specs[1] == "batched:B=8,K=2");
-    CHECK(specs[2] == "adaptive:S=4");
+    CHECK(specs[2] == "extsync:devices=2");
     CHECK(specs[3] == "perfect");
 }
 
@@ -147,205 +143,12 @@ void check_wrap_external() {
     CHECK(toy.c.load() == 3);
 }
 
-// NUMA-aware shard assignment rests on shard_group's partition: every
-// shard in exactly one node group, group sizes within one of each other,
-// and graceful emptiness when shards < nodes (callers then fall back to
-// the global round-robin). Any thread->shard map is CORRECT; this pins
-// down the partition math the locality optimization relies on.
-void check_shard_group_partition() {
-    for (const std::uint64_t nodes : {1u, 2u, 3u, 4u, 7u}) {
-        for (const std::uint64_t shards : {1u, 2u, 3u, 4u, 8u, 13u}) {
-            std::uint64_t covered = 0, min_sz = ~std::uint64_t{0},
-                          max_sz = 0;
-            std::uint64_t expected_base = 0;
-            for (std::uint64_t g = 0; g < nodes; ++g) {
-                const auto [base, size] =
-                    tb::detail::shard_group(g, nodes, shards);
-                CHECK_MSG(base == expected_base,
-                          "nodes=%llu shards=%llu group %llu: gap or "
-                          "overlap at base %llu",
-                          static_cast<unsigned long long>(nodes),
-                          static_cast<unsigned long long>(shards),
-                          static_cast<unsigned long long>(g),
-                          static_cast<unsigned long long>(base));
-                expected_base = base + size;
-                covered += size;
-                min_sz = std::min(min_sz, size);
-                max_sz = std::max(max_sz, size);
-            }
-            CHECK(covered == shards);
-            CHECK(max_sz - min_sz <= 1);
-        }
-    }
-    // Topology helpers degrade gracefully whatever the host looks like.
-    CHECK(numa_node_count() >= 1);
-    CHECK(numa_node_of_cpu(-1) == -1);
-    const int cpu = current_cpu();
-    if (cpu >= 0) {
-        const int node = numa_node_of_cpu(cpu);
-        CHECK(node == -1 || (node >= 0 && node < numa_node_count()));
-    }
-}
-
-void check_sharded_stamps() {
-    auto tbase = tb::make("sharded:S=4,K=8");
-    auto* s = tbase.get_if<tb::ShardedCounterTimeBase>();
-    // Documented bound: ceil(S*(K+1)/2).
-    CHECK(tbase.deviation() == (4 * 9 + 1) / 2);
-
-    constexpr unsigned kThreads = 8;  // 2 clocks per shard
-    constexpr int kPerThread = 20000;
-    std::vector<std::vector<std::uint64_t>> stamps(kThreads);
-    std::atomic<int> bound_violations{0};
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            auto clk = tbase.make_thread_clock();
-            stamps[t].reserve(kPerThread);
-            const std::uint64_t slack = 2 * tbase.deviation() + 1;
-            for (int i = 0; i < kPerThread; ++i) {
-                const auto now = clk.get_time();
-                const auto ts = clk.get_new_ts();
-                if (now >= ts + slack)
-                    bound_violations.fetch_add(1, std::memory_order_relaxed);
-                stamps[t].push_back(ts);
-            }
-        });
-    }
-    for (auto& th : threads) th.join();
-    CHECK(bound_violations.load() == 0);
-
-    std::vector<std::uint64_t> all;
-    std::vector<std::uint64_t> per_shard(s->shard_count(), 0);
-    for (unsigned t = 0; t < kThreads; ++t) {
-        // Per-thread strict monotonicity.
-        for (std::size_t i = 1; i < stamps[t].size(); ++i)
-            CHECK_MSG(stamps[t][i] > stamps[t][i - 1], "thread %u pos %zu", t,
-                      i);
-        for (const auto ts : stamps[t]) {
-            ++per_shard[ts % s->shard_count()];
-            all.push_back(ts);
-        }
-    }
-    // Global uniqueness across shards.
-    std::sort(all.begin(), all.end());
-    CHECK(std::adjacent_find(all.begin(), all.end()) == all.end());
-    // All shards actually drew (round-robin clock assignment).
-    for (std::uint64_t sh = 0; sh < s->shard_count(); ++sh)
-        CHECK_MSG(per_shard[sh] > 0, "shard %llu never drew",
-                  static_cast<unsigned long long>(sh));
-}
-
-// The adaptive switch, deterministically mid-run: drawers run with the
-// sampling trigger disabled while the main thread escalates the mode
-// twice; every invariant the STM relies on must hold across both fences.
-void check_adaptive_switch() {
-    auto tbase = tb::make("adaptive:S=4,B=8,L=16,threshold-ns=0");
-    auto* ab = tbase.get_if<tb::AdaptiveTimeBase>();
-    CHECK(ab != nullptr);
-    CHECK(ab->mode() == tb::AdaptiveTimeBase::kSingle);
-
-    constexpr unsigned kThreads = 8;
-    constexpr int kPerThread = 40000;
-    constexpr int kFinalPhase = 2000;  // drawn strictly after both switches
-    std::vector<std::vector<std::uint64_t>> stamps(kThreads);
-    std::atomic<int> bound_violations{0};
-    std::atomic<unsigned> past_first_third{0}, past_second_third{0};
-    std::atomic<bool> final_phase{false};
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            auto clk = tbase.make_thread_clock();
-            stamps[t].reserve(kPerThread + kFinalPhase);
-            const std::uint64_t slack = 2 * tbase.deviation() + 1;
-            const auto draw = [&] {
-                const auto now = clk.get_time();
-                const auto ts = clk.get_new_ts();
-                if (now >= ts + slack)
-                    bound_violations.fetch_add(1, std::memory_order_relaxed);
-                stamps[t].push_back(ts);
-            };
-            for (int i = 0; i < kPerThread; ++i) {
-                draw();
-                if (i == kPerThread / 3)
-                    past_first_third.fetch_add(1, std::memory_order_release);
-                if (i == 2 * kPerThread / 3)
-                    past_second_third.fetch_add(1, std::memory_order_release);
-            }
-            // Fast threads may exhaust their quota before the slowest
-            // reaches its switch points; the extra phase guarantees every
-            // thread draws under the final (sharded) mode too.
-            while (!final_phase.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            for (int i = 0; i < kFinalPhase; ++i) draw();
-        });
-    }
-    // Escalate once every thread is deep in its draw loop, twice: the
-    // drawers cross single->batched and batched->sharded live.
-    while (past_first_third.load(std::memory_order_acquire) < kThreads)
-        std::this_thread::yield();
-    ab->escalate();
-    while (past_second_third.load(std::memory_order_acquire) < kThreads)
-        std::this_thread::yield();
-    ab->escalate();
-    final_phase.store(true, std::memory_order_release);
-    for (auto& th : threads) th.join();
-
-    CHECK(ab->mode() == tb::AdaptiveTimeBase::kSharded);
-    CHECK_MSG(bound_violations.load() == 0, "%d deviation-bound violations",
-              bound_violations.load());
-
-    std::vector<std::uint64_t> all;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        for (std::size_t i = 1; i < stamps[t].size(); ++i)
-            CHECK_MSG(stamps[t][i] > stamps[t][i - 1],
-                      "thread %u pos %zu: %llu then %llu across a switch", t,
-                      i,
-                      static_cast<unsigned long long>(stamps[t][i - 1]),
-                      static_cast<unsigned long long>(stamps[t][i]));
-        all.insert(all.end(), stamps[t].begin(), stamps[t].end());
-    }
-    std::sort(all.begin(), all.end());
-    const auto dup = std::adjacent_find(all.begin(), all.end());
-    CHECK_MSG(dup == all.end(), "duplicate stamp %llu across the switch",
-              static_cast<unsigned long long>(dup == all.end() ? 0 : *dup));
-    // After the final switch, stamps actually spread across shards.
-    std::vector<std::uint64_t> residues(ab->params().shards, 0);
-    for (unsigned t = 0; t < kThreads; ++t)
-        ++residues[stamps[t].back() % ab->params().shards];
-    std::uint64_t used = 0;
-    for (const auto r : residues) used += r > 0 ? 1 : 0;
-    CHECK_MSG(used > 1, "sharded mode never spread beyond one shard "
-                        "(%llu)",
-              static_cast<unsigned long long>(used));
-}
-
-// The latency trigger itself: an instant threshold escalates to the top of
-// the ladder without any manual intervention.
-void check_adaptive_auto_trigger() {
-    auto tbase = tb::make("adaptive:S=2,threshold-ns=1,sample=4,trips=1");
-    auto* ab = tbase.get_if<tb::AdaptiveTimeBase>();
-    auto clk = tbase.make_thread_clock();
-    for (int i = 0; i < 1000; ++i) clk.get_new_ts();
-    CHECK(ab->mode() == tb::AdaptiveTimeBase::kSharded);
-    // And a disabled trigger never escalates on its own.
-    auto tbase2 = tb::make("adaptive:threshold-ns=0");
-    auto* ab2 = tbase2.get_if<tb::AdaptiveTimeBase>();
-    auto clk2 = tbase2.make_thread_clock();
-    for (int i = 0; i < 1000; ++i) clk2.get_new_ts();
-    CHECK(ab2->mode() == tb::AdaptiveTimeBase::kSingle);
-}
-
 }  // namespace
 
 int main() {
     check_registry_roundtrip();
     check_wrap_shares_state();
     check_wrap_external();
-    check_shard_group_partition();
-    check_sharded_stamps();
-    check_adaptive_switch();
-    check_adaptive_auto_trigger();
     if (const char* env = std::getenv("CHRONOSTM_TIMEBASE")) {
         // CI's tier-1 sweep: whatever spec the matrix selects must at
         // least round-trip the registry and hand out monotonic stamps.

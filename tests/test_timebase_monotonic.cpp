@@ -2,7 +2,7 @@
 // draws a stream of stamps from its own thread clock; get_new_ts must be
 // strictly increasing within a thread for every base, and get_time
 // observations interleaved with them must never exceed a later commit
-// stamp from the same clock. Imprecise bases (batched/sharded/adaptive)
+// stamp from the same clock. Imprecise bases (the batched counter)
 // run a deviation-adjusted variant of the get_time bound -- an
 // observation may lead a later stamp, but never by more than the pairwise
 // uncertainty 2*deviation() -- exercised through the facade registry so
@@ -118,12 +118,6 @@ int main() {
     check_monotonic_batched(8, 20000);   // refetch-heavy
     check_monotonic_batched(64, 20000);  // throughput-tuned
     check_monotonic_facade("batched:B=8", 20000);
-    check_monotonic_facade("sharded:S=1,K=1", 20000);  // near-exact corner
-    check_monotonic_facade("sharded:S=4,K=8", 20000);
-    check_monotonic_facade("sharded:S=8,K=2", 20000);
-    check_monotonic_facade("adaptive:S=4,B=8,L=16", 20000);
-    check_monotonic_facade("adaptive:S=3,B=4,L=4,threshold-ns=1,trips=1",
-                           20000);  // trips instantly: crosses both switches
     {
         tb::PerfectClockTimeBase tbase(tb::PerfectSource::Auto);
         check_monotonic(tbase, 20000, "PerfectClock(Auto)");

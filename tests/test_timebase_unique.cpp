@@ -60,20 +60,6 @@ int main() {
         check_unique(tbase, 20000, "BatchedCounter(B=64)");
     }
     {
-        // Sharded stamps carry the shard residue: unique across shards by
-        // construction, unique within a shard by fetch_add. More threads
-        // than shards forces shard sharing.
-        auto tbase = tb::make("sharded:S=4,K=8");
-        check_unique(tbase, 20000, "ShardedCounter(S=4,K=8)");
-    }
-    {
-        // Adaptive with an instant trigger crosses single -> batched ->
-        // sharded while stamps are being drawn; reservations keep them
-        // globally unique through both switches.
-        auto tbase = tb::make("adaptive:S=4,B=8,L=16,threshold-ns=1,trips=1");
-        check_unique(tbase, 20000, "Adaptive(instant-escalation)");
-    }
-    {
         tb::PerfectClockTimeBase tbase(tb::PerfectSource::Auto);
         check_unique(tbase, 20000, "PerfectClock(Auto)");
     }
