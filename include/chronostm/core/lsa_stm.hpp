@@ -10,14 +10,12 @@
 // whole update commit, the irrevocability gate, the retry ladder and stats
 // -- live in core/snapshot_core.hpp. This file adds what is specific to
 // per-TVar metadata: the lock word and version history, read admission
-// with the old-version fallback, and the commit hooks that carry the
-// descriptors and the contention managers.
+// with the old-version fallback, and the write-back of one record.
 //
 // Design, following the paper:
 //  * Each TVar carries a versioned lock word ("orec"). Unlocked it holds
-//    (version_ts << 1); locked it holds (TxDesc* | 1), a pointer to the
-//    owner's published commit descriptor, so conflicting threads can
-//    inspect the owner and ask a contention manager to arbitrate.
+//    (version_ts << 1); locked it holds (version_ts << 1) | 1, the version
+//    kept, as in the orec engine.
 //  * Each TVar keeps a bounded history of old versions with validity
 //    ranges [from, until), so long read-only transactions can read a
 //    consistent-but-old snapshot instead of aborting (multi-version LSA;
@@ -32,19 +30,14 @@
 //    too new the snapshot is lazily extended to the present (validating the
 //    read set) before falling back to old versions.
 //  * Writes are buffered in a lazy write set; the core's commit locks the
-//    write set in address order (the descriptor pointer goes into each
-//    lock word), draws one new timestamp from the time base, validates the
-//    read set, then writes back through each record's apply (value and
-//    history ring) and publishes the new version words. Only the owner
-//    writes back: a thread that meets a locked word waits it out or
-//    arbitrates, it never finishes the commit itself.
-//  * Conflict resolution is delegated to a pluggable contention manager
-//    (StmConfig::contention_manager): suicide, polite (backoff), aggressive,
-//    timestamp. Managers that abort the enemy do so cooperatively by
-//    CASing the owner's descriptor from Locking to Killed; the owner only
-//    loads its status (after its last lock and after validation) and
-//    stores Committed plainly, so a kill that lands after its last check
-//    loses. Kills are advisory: the killer still waits for the lock word.
+//    write set in address order (setting each lock word's low bit), draws
+//    one new timestamp from the time base, validates the read set, then
+//    writes back through each record's apply (value and history ring) and
+//    publishes the new version words. Only the owner writes back. A thread
+//    that meets a locked word waits up to lock_spin spins and then aborts
+//    itself (the core's foreign-lock wait, shared with the orec engine;
+//    the irrevocability-token holder outwaits the owner). Nothing aborts a
+//    committer from outside.
 //  * With an externally synchronized time base, every version's validity
 //    range is shrunk at both ends by the pairwise stamp uncertainty (twice
 //    the published per-stamp deviation bound: both the version's stamp and
@@ -80,10 +73,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
-#include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -95,25 +85,6 @@
 
 namespace chronostm {
 
-// How a transaction behaves when it runs into a lock owned by another
-// committing transaction (and how hard it retries afterwards).
-enum class CmPolicy {
-    kSuicide,     // abort self immediately on any conflict
-    kPolite,      // bounded spin, then abort self (a.k.a. backoff)
-    kAggressive,  // abort the enemy when possible, spin hard otherwise
-    kTimestamp,   // older transaction wins; younger backs off
-};
-
-inline CmPolicy parse_contention_manager(const std::string& name) {
-    if (name.empty() || name == "polite" || name == "backoff")
-        return CmPolicy::kPolite;
-    if (name == "suicide") return CmPolicy::kSuicide;
-    if (name == "aggressive") return CmPolicy::kAggressive;
-    if (name == "timestamp") return CmPolicy::kTimestamp;
-    throw std::invalid_argument("chronostm: unknown contention manager: " +
-                                name);
-}
-
 // The shared knobs (read_extension, lock_spin, epoch_filter, max_retries,
 // irrevocable_threshold, commit_publish_hook) live in stm::CommonConfig;
 // the old spellings -- cfg.epoch_filter etc. -- are the inherited members.
@@ -123,25 +94,11 @@ struct StmConfig : stm::CommonConfig {
     // updates. Capped at detail::kMaxHistory + 1. Old versions are kept
     // only while LsaStm::keeps_history() is true.
     unsigned max_versions = 8;
-    // Conflict arbitration policy; see CmPolicy. Parsed once per LsaStm.
-    std::string contention_manager = "polite";
 };
 
 namespace detail {
 
 inline constexpr unsigned kMaxHistory = 16;
-
-// Commit descriptor life cycle. A kill CAS is only legal from Locking,
-// which covers the whole commit up to the owner's decision: locking, the
-// stamp draw and validation. The owner never CASes its own status: it
-// loads it after its last lock and after validation, and stores
-// Committed plainly, so a kill landing after the second check is lost.
-enum TxStatus : int {
-    kTxIdle = 0,
-    kTxLocking,    // locking, drawing the stamp, validating
-    kTxCommitted,  // decided; the owner is writing back
-    kTxKilled,     // a contention manager asked this attempt to abort
-};
 
 class TVarBase;
 
@@ -221,17 +178,6 @@ struct AccessSets : SnapshotSets<CommitRec*> {
     }
 };
 
-// Published commit descriptor, one per thread context, reused across
-// transactions. Locked orecs point at it, so a conflicting transaction can
-// read the owner's status and start stamp and kill it cooperatively.
-// Padded to its own cache line: the owner stores `status` three times per
-// update commit, and contexts' descriptors are allocated back to back.
-struct alignas(64) TxDesc {
-    std::atomic<int> status{kTxIdle};
-    // Seniority of the in-flight attempt, for the timestamp manager.
-    std::atomic<std::uint64_t> start_ts{0};
-};
-
 // The commit stamp is drawn only after the whole write set is locked,
 // which is why no thread ever draws one on a stalled committer's behalf:
 // a stamp from before the last lock would let a fresh reader accept the
@@ -247,7 +193,7 @@ namespace detail {
 
 // Untyped base so transactions can track read/write sets across TVar<T>
 // instantiations. The lock word is the only shared-memory rendezvous point:
-// (version_ts << 1) unlocked, (TxDesc* | 1) locked. Not polymorphic -- a
+// (version_ts << 1) unlocked, the same word | 1 locked. Not polymorphic -- a
 // vtable pointer would widen every TVar for nothing; nobody owns TVars
 // through this base. Standard-layout with the lock word its only member,
 // so a write record's lock pointer converts back to its TVar.
@@ -360,13 +306,13 @@ class TVar : public TVarBase {
 
     // Called with the lock bit held by the committing owner, so the
     // one-time ring allocation races nobody. `old_ts` is the version being
-    // replaced (the lock word no longer carries it: locked words hold the
-    // descriptor pointer). Stores only the data. The caller's release
-    // fence before the write-back keeps every lock store visible before
-    // these stores, so a reader that observes new data and then rechecks
-    // the lock word sees the lock or the final version (the other half of
-    // the seqlock lives in Transaction::read / read_old_version). The
-    // caller publishes the version words after a second fence.
+    // replaced, from the word the commit's lock CAS saved. Stores only the
+    // data. The caller's release fence before the write-back keeps every
+    // lock store visible before these stores, so a reader that observes
+    // new data and then rechecks the lock word sees the lock or the final
+    // version (the other half of the seqlock lives in Transaction::read /
+    // read_old_version). The caller publishes the version words after a
+    // second fence.
     void commit_write(const T& v, std::uint64_t new_ts, std::uint64_t old_ts,
                       unsigned keep_old) {
         Ring* r = hist_.load(std::memory_order_relaxed);
@@ -414,23 +360,6 @@ class Transaction
 
     // Defined after ThreadContext, whose state it starts from.
     explicit Transaction(ThreadContext& ctx);
-
-    static detail::TxDesc* decode_owner(std::uint64_t locked_word) {
-        return reinterpret_cast<detail::TxDesc*>(
-            static_cast<std::uintptr_t>(locked_word & ~std::uint64_t{1}));
-    }
-
-    // Cooperative kill: only attempts that have not reached Committed can
-    // die, and only if the owner checks before deciding. A stale kill (the
-    // descriptor moved on to a later attempt) costs that attempt a
-    // spurious abort, never correctness.
-    static void try_kill(detail::TxDesc* d) {
-        int s = d->status.load(std::memory_order_acquire);
-        if (s == detail::kTxLocking)
-            d->status.compare_exchange_strong(s, detail::kTxKilled,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed);
-    }
 
     template <typename T>
     T read(TVar<T>& var) {
@@ -587,74 +516,13 @@ class Transaction
         return rec->lock;
     }
 
-    // A locked word names the owner's descriptor, so a waiter can
-    // arbitrate.
-    std::uint64_t lock_word(std::uint64_t) const {
-        return reinterpret_cast<std::uintptr_t>(desc_) | 1u;
-    }
-
-    // Every spin of a wait on a lock held by the descriptor in `w`: yield
-    // if a manager killed us while we were stuck here (only possible while
-    // we hold locks, i.e. during commit), then let the contention manager
-    // arbitrate. The token holder wins every arbitration: nobody kills it,
-    // and it never yields -- it outwaits the lock owner, which is
-    // guaranteed to finish because an irrevocable attempt only ever meets
-    // locks of already-in-flight commits. Aggressive just asked the owner
-    // to die and waits for its rollback, so it gets 64 times the budget.
-    std::uint64_t arbitrate(std::uint64_t w) {
-        if (killed()) throw detail::AbortTx{};
-        auto* owner = decode_owner(w);
-        const bool owner_irrevocable = gate_->held_by(owner);
-        switch (cm_) {
-            case CmPolicy::kSuicide:
-                if (!irrevocable_) throw detail::AbortTx{};
-                break;
-            case CmPolicy::kAggressive:
-                if (!owner_irrevocable) try_kill(owner);
-                return 64ull * cfg_.lock_spin;
-            case CmPolicy::kTimestamp:
-                if (!owner_irrevocable &&
-                    start_ts_ < owner->start_ts.load(std::memory_order_relaxed))
-                    try_kill(owner);
-                break;
-            case CmPolicy::kPolite:
-                break;
-        }
-        return cfg_.lock_spin;
-    }
-
-    // Whether a contention manager killed this commit attempt; the token
-    // holder ignores kills (a stale racer holding a descriptor pointer from
-    // an earlier attempt): nothing may abort it.
-    bool killed() const {
-        return !irrevocable_ &&
-               desc_->status.load(std::memory_order_acquire) ==
-                   detail::kTxKilled;
-    }
-
-    // Publish seniority and open the kill window before the first lock.
-    void lock_begin() {
-        desc_->start_ts.store(start_ts_, std::memory_order_relaxed);
-        desc_->status.store(detail::kTxLocking, std::memory_order_release);
-    }
-
-    // Last kill check, then the decision by plain store: a kill CAS that
-    // lands between the two is overwritten and loses, and its killer keeps
-    // waiting for our lock words like any other waiter. With the history
-    // switch off (always, under max_versions = 1) no old version is kept.
-    bool decide() {
-        if (killed()) return false;
-        desc_->status.store(detail::kTxCommitted, std::memory_order_release);
+    // The commit is validated and will write back: choose how many old
+    // versions it keeps per var. With the history switch off (always,
+    // under max_versions = 1) it keeps none.
+    void decide() {
         keep_old_ = keep_history_->load(std::memory_order_relaxed)
                         ? std::min(cfg_.max_versions - 1, detail::kMaxHistory)
                         : 0;
-        return true;
-    }
-
-    // Retire the attempt, so a kill that landed cannot abort the next
-    // attempt's reads.
-    void on_rollback() {
-        desc_->status.store(detail::kTxIdle, std::memory_order_release);
     }
 
     void apply(detail::CommitRec& rec, std::uint64_t new_ts) {
@@ -669,8 +537,6 @@ class Transaction
             [] { (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_unlock); });
     }
 
-    CmPolicy cm_;
-    detail::TxDesc* desc_;
     std::atomic<bool>* keep_history_;  // LsaStm::keeps_history() flag
     std::uint64_t* last_miss_;
     // Snapshot ceiling set by an old-version read (the version's end).
@@ -689,8 +555,7 @@ inline void TVar<T>::set(Transaction& tx, T v) {
 }
 
 // Per-thread handle (run(), txn_commit(), stats() come from the snapshot
-// core) plus this context's commit descriptor, registered with the parent
-// LsaStm.
+// core) plus the context's history-miss bookkeeping.
 class ThreadContext
     : public detail::SnapshotContext<ThreadContext, Transaction, StmConfig,
                                      detail::AccessSets> {
@@ -707,21 +572,19 @@ class ThreadContext
     friend class Transaction;
     friend class LsaStm;
 
-    ThreadContext(LsaStm& stm, std::shared_ptr<detail::TxDesc> desc);
+    explicit ThreadContext(LsaStm& stm);
 
     // Stamps drawn by freshness aborts need no bookkeeping here.
     void note_own_stamp(std::uint64_t) {}
 
-    CmPolicy cm_;
-    std::shared_ptr<detail::TxDesc> desc_;
     std::atomic<bool>* keep_history_;
     // The context's commit count at its last history miss (none yet: ~0).
     std::uint64_t last_miss_ = ~std::uint64_t{0};
 };
 
 inline Transaction::Transaction(ThreadContext& ctx)
-    : Core(ctx), cm_(ctx.cm_), desc_(ctx.desc_.get()),
-      keep_history_(ctx.keep_history_), last_miss_(&ctx.last_miss_) {
+    : Core(ctx), keep_history_(ctx.keep_history_),
+      last_miss_(&ctx.last_miss_) {
     // The snapshot's lower bound starts at the begin observation, not
     // at 0: read_old_version() must never serialize this transaction
     // before a version that provably ended before it began. Without
@@ -737,8 +600,7 @@ class LsaStm : public detail::SnapshotEngine<StmConfig> {
  public:
     explicit LsaStm(tb::TimeBase tbase, StmConfig cfg = StmConfig{})
         : SnapshotEngine(std::move(tbase), cfg,
-                         detail::EpochStripes(cfg.filter_stripes)),
-          cm_(parse_contention_manager(cfg_.contention_manager)) {
+                         detail::EpochStripes(cfg.filter_stripes)) {
         if (cfg_.max_versions == 0) cfg_.max_versions = 1;
         // Without extension a reader's only defence against any concurrent
         // overwrite is history, so demand is certain from the start.
@@ -746,20 +608,7 @@ class LsaStm : public detail::SnapshotEngine<StmConfig> {
                                std::memory_order_relaxed);
     }
 
-    ThreadContext make_context() {
-        auto desc = std::make_shared<detail::TxDesc>();
-        {
-            // Descriptors are pinned for the STM's lifetime: a conflicting
-            // transaction may hold a pointer to one (read out of a lock
-            // word, for try_kill) after the owning context has been
-            // destroyed.
-            std::lock_guard<std::mutex> g(mu_);
-            descs_.push_back(desc);
-        }
-        return ThreadContext(*this, std::move(desc));
-    }
-
-    CmPolicy contention_policy() const { return cm_; }
+    ThreadContext make_context() { return ThreadContext(*this); }
 
     // Whether update commits keep old versions (sticky once true).
     bool keeps_history() const {
@@ -769,17 +618,11 @@ class LsaStm : public detail::SnapshotEngine<StmConfig> {
  private:
     friend class ThreadContext;
 
-    CmPolicy cm_;
     // Read by every update commit, written at most once: its own line.
     struct alignas(64) { std::atomic<bool> on{false}; } keep_history_;
-    std::vector<std::shared_ptr<detail::TxDesc>> descs_;
 };
 
-// The descriptor doubles as the gate identity, so conflict arbitration can
-// recognize the irrevocability-token holder from a lock word.
-inline ThreadContext::ThreadContext(LsaStm& stm,
-                                    std::shared_ptr<detail::TxDesc> desc)
-    : Core(stm, desc.get()), cm_(stm.cm_), desc_(std::move(desc)),
-      keep_history_(&stm.keep_history_.on) {}
+inline ThreadContext::ThreadContext(LsaStm& stm)
+    : Core(stm), keep_history_(&stm.keep_history_.on) {}
 
 }  // namespace chronostm

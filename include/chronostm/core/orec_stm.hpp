@@ -34,14 +34,12 @@
 //    until the counter outruns its own stamps;
 //  * single-version: no history ring to fall back on, so a reader that
 //    cannot extend aborts where the TVar engine might serve an old version;
-//  * locks are TL2-style in-place bit sets (word | 1) that PRESERVE the
-//    version, not descriptor pointers -- so there is no contention-
-//    manager plumbing: a waiter takes the core wait's polite arm. The
-//    core's commit runs unchanged; its hooks here only set the lock bit
-//    and merge partial granules at write-back. Commit-time read
-//    validation tells "locked by me" from "locked by an enemy holding the
-//    same version" through the core's lock-key lookup, never through the
-//    word alone.
+//  * the core's commit runs unchanged; its hook here only merges partial
+//    granules at write-back. Locks are the core's in-place bit sets
+//    (word | 1) that preserve the version, so commit-time read validation
+//    tells "locked by me" from "locked by an enemy holding the same
+//    version" through the core's lock-key lookup, never through the word
+//    alone.
 //
 // Memory access protocol (TSan-clean by construction): all transactional
 // data moves through 8-byte-aligned granules accessed with the __atomic
@@ -292,15 +290,8 @@ class OrecTransaction
         return rec.gran;
     }
 
-    // An in-place lock keeps the version: locked is the unlocked word | 1.
-    static constexpr std::uint64_t lock_word(std::uint64_t w) { return w | 1u; }
-    // No descriptor to kill or arbitrate with: a waiter takes the polite
-    // arm of the wait, and no contention manager ever kills a committer.
-    std::uint64_t arbitrate(std::uint64_t) const { return cfg_.lock_spin; }
-    static constexpr bool killed() { return false; }
-    static void lock_begin() {}
-    static constexpr bool decide() { return true; }
-    static void on_rollback() {}
+    // No version history: nothing to choose at the decision point.
+    static void decide() {}
 
     // Write-back of one granule. A partial record merges with memory: this
     // thread holds the granule's orec, so nobody else may write any byte of
@@ -350,8 +341,6 @@ class OrecThreadContext
     friend class OrecTransaction;
     friend class OrecStm;
 
-    // The orec engine has no conflict arbitration to exempt a token
-    // holder from, so it needs no gate identity.
     explicit OrecThreadContext(OrecStm& stm);
 
     // A stamp drawn by a freshness abort is this thread's own, too.
@@ -416,7 +405,7 @@ class OrecStm : public detail::SnapshotEngine<OrecConfig> {
 };
 
 inline OrecThreadContext::OrecThreadContext(OrecStm& stm)
-    : Core(stm, nullptr), stm_(&stm) {}
+    : Core(stm), stm_(&stm) {}
 
 inline OrecTransaction::OrecTransaction(OrecThreadContext& ctx)
     : Core(ctx),

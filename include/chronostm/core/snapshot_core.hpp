@@ -23,13 +23,7 @@
 //      reads_in_present()  -- false once a read was served from history
 //      note_own_stamp(ts)  -- every stamp the attempt draws
 //      write_key(rec)      -- the address a write record covers (lock order)
-//      lock_word(w)        -- the word a commit CASes over unlocked word w
-//      arbitrate(w)        -- every spin of a wait on locked word w; may
-//                             abort, returns the spin budget
-//      killed()            -- a contention manager asked the commit to abort
-//      lock_begin(), decide(), on_rollback()
-//                          -- the commit's first lock, point of no return
-//                             and abort
+//      decide()            -- the validated commit's point of no return
 //      apply(rec, new_ts)  -- one record's data write-back
 //    and a commit() that hands the core its four failpoint sites.
 //  * SnapshotContext<Engine, Tx, Cfg, Sets>: the per-thread handle's run()
@@ -147,9 +141,9 @@ class TxStats {
     // engine-global irrevocability token (auto-escalation in run() plus
     // explicit become_irrevocable calls); `irrevocable_commits` the commits
     // that happened while holding it. `stall_waits` counts lock waits that
-    // outlived the polite spin budget (the owner looked preempted);
-    // `stalled_aborts` the subset that gave up on a provably stalled owner
-    // and aborted through the contention seam. `injected_faults` counts
+    // outlived the lock_spin budget (the owner looked preempted);
+    // `stalled_aborts` the subset that then gave up and aborted (all of
+    // them but the token holder's). `injected_faults` counts
     // failpoint activations charged to this context (always 0 unless built
     // with CHRONOSTM_FAILPOINTS).
     std::uint64_t irrevocable_commits = 0;
@@ -170,8 +164,8 @@ class TxStats {
 // when irrevocable_threshold is 0 or above max_retries). Carries the
 // context's counters at throw time plus the failed transaction's own abort
 // taxonomy, so callers can tell livelock (conflict-dominated: backoff and
-// contention management lost) from time-base starvation (freshness-
-// dominated: the snapshot could never reach the present).
+// the lock wait lost) from time-base starvation (freshness-dominated: the
+// snapshot could never reach the present).
 class RetryExhausted : public std::runtime_error {
  public:
     RetryExhausted(const char* engine, TxStats snapshot,
@@ -291,11 +285,6 @@ struct alignas(64) CommitFlag {
 // own flag's line; the token word is written only by escalation.
 class IrrevGate {
  public:
-    // Identity of the current token holder (the TxDesc in the LSA engine;
-    // the orec engine has no conflict arbitration and passes nullptr) so
-    // arbitration can exempt it from kills.
-    std::atomic<const void*> holder{nullptr};
-
     // A new context's flag; it lives as long as the gate.
     CommitFlag* enroll() {
         std::lock_guard<std::mutex> g(mu_);
@@ -318,7 +307,7 @@ class IrrevGate {
         f.in_commit.store(0, std::memory_order_release);
     }
 
-    void acquire(const void* who) {
+    void acquire() {
         bool t = false;
         // One irrevocable transaction at a time.
         while (!token_.compare_exchange_strong(t, true,
@@ -327,7 +316,6 @@ class IrrevGate {
             t = false;
             std::this_thread::yield();
         }
-        holder.store(who, std::memory_order_release);
         // Drain: in-flight committers finish (or roll back) on their own;
         // none of them can block on us because we hold no locks yet, and
         // a committer arriving after the token sees it and stays out. A
@@ -354,14 +342,7 @@ class IrrevGate {
             }
         }
     }
-    void release() {
-        holder.store(nullptr, std::memory_order_release);
-        token_.store(false, std::memory_order_release);
-    }
-    bool held_by(const void* who) const {
-        return who != nullptr &&
-               holder.load(std::memory_order_acquire) == who;
-    }
+    void release() { token_.store(false, std::memory_order_release); }
     bool active() const {
         return token_.load(std::memory_order_acquire);
     }
@@ -610,7 +591,7 @@ enum FilterState : std::uint32_t {
 
 // Engine shell: the time base, the epoch stripes, the irrevocability gate
 // and the registry of every context's stats block. LsaStm and OrecStm
-// derive from it and add their own metadata (descriptors, orec table).
+// derive from it and add their own metadata (history switch, orec table).
 template <typename Cfg>
 class SnapshotEngine {
  public:
@@ -722,7 +703,7 @@ class SnapshotTx {
     void become_irrevocable() {
         if (irrevocable_) return;
         if (!*token_held_) {
-            gate_->acquire(gate_id_);
+            gate_->acquire();
             *token_held_ = true;
             bump(stats_->escalations);
         }
@@ -772,7 +753,6 @@ class SnapshotTx {
           stripes_(c.stripes_),
           gate_(c.gate_),
           commit_flag_(c.commit_flag_),
-          gate_id_(c.gate_id_),
           filter_state_(c.filter_state_),
           arm_request_(&c.arm_requested_),
           token_held_(&c.token_held_),
@@ -782,7 +762,6 @@ class SnapshotTx {
         sets_->reset();
         CHRONOSTM_FP_SINK(&stats_->injected_faults);
         upper_ = clk_.get_time();
-        start_ts_ = upper_;
     }
     SnapshotTx(SnapshotTx&&) = default;
     ~SnapshotTx() = default;
@@ -921,22 +900,19 @@ class SnapshotTx {
         });
     }
 
-    // The one foreign-lock wait: spins until `lock` is unlocked and returns
-    // the unlocked word. The engine's arbitrate(word) runs on every spin; it
-    // may abort this attempt (a kill landed, or its contention manager
-    // yields) and returns the spin budget. Past lock_spin spins the owner
-    // looks preempted, not merely slow: the wait counts one stall_waits.
-    // Past the budget it gives up on the stalled owner and aborts through
-    // the contention seam (stalled_aborts; run() backs off, then
-    // escalates) -- except for the irrevocability-token holder, which only
-    // ever meets locks of already-in-flight commits and outwaits them.
+    // The one foreign-lock wait, both engines: spins until `lock` is
+    // unlocked and returns the unlocked word. Past lock_spin spins the
+    // owner looks preempted, not merely slow: the wait counts one
+    // stall_waits, gives up and aborts (stalled_aborts; run() backs off,
+    // then escalates) -- except for the irrevocability-token holder, which
+    // only ever meets locks of already-in-flight commits and outwaits
+    // them. lock_spin = 0 aborts at the first locked word.
     std::uint64_t wait_unlocked(const std::atomic<std::uint64_t>* lock) {
+        const std::uint64_t budget = cfg_.lock_spin;
         for (std::uint64_t spins = 1;; ++spins) {
             const std::uint64_t w = lock->load(std::memory_order_acquire);
             if (!(w & 1u)) return w;
-            const std::uint64_t budget = self().arbitrate(w);
-            if (spins == std::uint64_t{cfg_.lock_spin} + 1)
-                bump(stats_->stall_waits);
+            if (spins == budget + 1) bump(stats_->stall_waits);
             if (spins > budget && !irrevocable_) {
                 bump(stats_->stalled_aborts);
                 throw AbortTx{};
@@ -1051,7 +1027,6 @@ class SnapshotTx {
             gate_->enter_commit(*commit_flag_);
             gate_guard.flag = commit_flag_;
         }
-        self().lock_begin();
         // From here on the index maps locks, not write keys.
         if (ws.size() > kInlineScan) sets_->index.clear();
         std::uint32_t locked = 0;
@@ -1063,7 +1038,6 @@ class SnapshotTx {
         // Chaos harness: a committer preempted right after taking its last
         // lock, before anything is published.
         post_lock();
-        if (self().killed()) return rollback(locked);
         std::uint64_t commit_ts;
         if (!stamp_and_validate(commit_ts, pre_stamp)) return rollback(locked);
         // One stamp for the whole write set (stamping records one by one
@@ -1073,7 +1047,7 @@ class SnapshotTx {
         std::uint64_t new_ts = commit_ts;
         for (const auto& r : ws)
             new_ts = std::max(new_ts, (record(r).locked_word >> 1) + 1);
-        if (!self().decide()) return rollback(locked);
+        self().decide();
         // Test hook: freezes a decided committer that holds every lock.
         if (cfg_.commit_publish_hook) cfg_.commit_publish_hook();
         // Chaos harness: a committer parked here is decided but has
@@ -1115,10 +1089,10 @@ class SnapshotTx {
             return;
         }
         std::uint64_t w = rec.lock->load(std::memory_order_relaxed);
+        // The lock keeps the version: locked is the unlocked word | 1.
         for (;;) {
-            if (self().killed()) throw AbortTx{};
             if (w & 1u) w = wait_unlocked(rec.lock);
-            if (rec.lock->compare_exchange_weak(w, self().lock_word(w),
+            if (rec.lock->compare_exchange_weak(w, w | 1u,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_relaxed))
                 break;
@@ -1137,14 +1111,13 @@ class SnapshotTx {
             if (rec.owner)
                 rec.lock->store(rec.locked_word, std::memory_order_release);
         }
-        self().on_rollback();
         return false;
     }
 
     // Whether read-log entry `e` still holds the version it admitted: its
     // word is unchanged, or this commit locked it over exactly that word.
-    // Only the lock-key lookup decides ownership -- an orec lock preserves
-    // the version, so a foreign committer's lock can equal ours.
+    // Only the lock-key lookup decides ownership -- a lock preserves the
+    // version, so a foreign committer's lock can equal ours.
     bool still_valid(const ReadEntry& e) {
         const std::uint64_t cur = e.lock->load(std::memory_order_acquire);
         if (cur == e.word) return true;
@@ -1291,7 +1264,6 @@ class SnapshotTx {
     EpochStripes* stripes_;
     IrrevGate* gate_;
     CommitFlag* commit_flag_;
-    const void* gate_id_;
     const std::atomic<std::uint32_t>* filter_state_;  // FilterState word
     bool* arm_request_;  // owning context's pending arm request
     // Owning context's token flag: true while the context holds the
@@ -1304,11 +1276,6 @@ class SnapshotTx {
     bool stripes_on_;
     std::uint64_t lower_ = 0;
     std::uint64_t upper_ = 0;
-    // Seniority: the begin stamp of the first attempt of the enclosing
-    // run() call (run() carries it over to every retry), so an aborted
-    // old transaction does not retry as the youngest. The LSA timestamp
-    // manager ranks conflicting transactions by it.
-    std::uint64_t start_ts_ = 0;
     // Set by commit() when it failed only because the drawn stamp lagged
     // the snapshot (lower_ > commit_ts); run() treats that retry as a
     // freshness abort and draws the time base forward.
@@ -1341,16 +1308,11 @@ class SnapshotContext {
         // token; the normal commit path releases it in txn_commit first.
         TokenGuard token_guard{gate_, &token_held_};
         std::uint64_t conflict_aborts = 0, freshness_aborts = 0;
-        std::uint64_t start_ts = 0;
         for (unsigned attempt = 0;; ++attempt) {
             bool freshness = false;
             maybe_escalate(attempt);
             try {
                 Tx tx = self().txn_begin();
-                if (attempt == 0)
-                    start_ts = tx.start_ts_;
-                else
-                    tx.start_ts_ = start_ts;
                 if constexpr (std::is_void_v<R>) {
                     f(tx);
                     if (txn_commit(tx)) return;
@@ -1381,7 +1343,7 @@ class SnapshotContext {
         if (token_held_ || cfg_.irrevocable_threshold == 0 ||
             attempt < cfg_.irrevocable_threshold)
             return;
-        gate_->acquire(gate_id_);
+        gate_->acquire();
         token_held_ = true;
         bump(stats_->escalations);
     }
@@ -1466,9 +1428,7 @@ class SnapshotContext {
     friend class SnapshotTx;
 
     // Registers a stats block with `eng` and enrolls a gate flag.
-    // `gate_id` is this context's identity as irrevocability-token holder
-    // (see IrrevGate::holder).
-    SnapshotContext(SnapshotEngine<Cfg>& eng, const void* gate_id)
+    explicit SnapshotContext(SnapshotEngine<Cfg>& eng)
         : clk_(eng.tbase_.make_thread_clock()),
           cfg_(eng.cfg_),
           // The time base publishes each stamp's deviation from true time;
@@ -1480,8 +1440,7 @@ class SnapshotContext {
           stripes_(&eng.epoch_stripes_),
           filter_state_(&eng.filter_state_.word),
           gate_(&eng.irrev_gate_),
-          commit_flag_(gate_->enroll()),
-          gate_id_(gate_id) {
+          commit_flag_(gate_->enroll()) {
         std::lock_guard<std::mutex> g(eng.mu_);
         eng.blocks_.push_back(stats_);
     }
@@ -1498,7 +1457,6 @@ class SnapshotContext {
     // This context's in-commit flag, enrolled with the gate (which owns
     // it, so it outlives the context).
     CommitFlag* commit_flag_;
-    const void* gate_id_;
     // True while this context holds the engine-global irrevocability
     // token; survives aborted attempts so a failed escalation retries
     // irrevocably instead of re-queuing for the token.

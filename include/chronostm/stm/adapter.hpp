@@ -29,8 +29,7 @@
 //                         runtime-pluggable time-base facade: pass a
 //                         wrapped object or a registry handle from
 //                         tb::make("batched:B=16")), with multi-version
-//                         history, pluggable contention managers, and
-//                         the commit-epoch validation filter
+//                         history and the commit-epoch validation filter
 //                         (StmConfig::epoch_filter).
 //   * OrecAdapter      -- LSA over a global orec table (core/orec_stm.hpp):
 //                         raw-memory words hashed to versioned locks by

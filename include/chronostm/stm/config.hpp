@@ -23,9 +23,9 @@ namespace stm {
 struct CommonConfig {
     // Lazy snapshot extension on reads that find a too-new version.
     bool read_extension = true;
-    // Spins on a foreign lock before the waiter counts a stall and gives
-    // up on the owner (the LSA aggressive manager waits 64 times longer;
-    // the irrevocability-token holder waits without bound).
+    // Spins on a foreign lock before the waiter counts a stall and aborts
+    // itself, in both engines; 0 aborts at the first locked word (the
+    // irrevocability-token holder waits without bound).
     unsigned lock_spin = 256;
     // Bounded retry: run() throws after this many consecutive aborts.
     unsigned max_retries = 1'000'000;

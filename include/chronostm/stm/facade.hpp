@@ -16,7 +16,7 @@
 // lowercased keys, later key wins, unknown names/keys throw loudly.
 // Common knobs (stm::CommonConfig) parse uniformly across engines --
 // spin=, retries=, irrev=, filter=, stripes=, ext= -- plus
-// each engine's private keys (orec: bits=; lsa: versions=, cm=;
+// each engine's private keys (orec: bits=; lsa: versions=;
 // vstm: heuristic=).
 //
 // The data plane is a SLOT, not a Var<T>: each engine stores a
@@ -481,8 +481,8 @@ struct KnownEngine {
 
 inline const std::vector<KnownEngine>& known_engines() {
     static const std::vector<KnownEngine> k = {
-        {"lsa", "lsa:versions=8,cm=polite,irrev=64",
-         "the paper's LSA-RT: multi-version, pluggable CM"},
+        {"lsa", "lsa:versions=8,irrev=64",
+         "the paper's LSA-RT: multi-version"},
         {"orec", "orec:bits=16,irrev=64",
          "LSA over a global orec table; raw-memory words, single-version"},
         {"tl2", "tl2:spin=256", "global-version-clock TL2 baseline"},
@@ -562,13 +562,11 @@ inline Engine make(const std::string& spec_str, tb::TimeBase tbase) {
     const tb::TimeBaseSpec spec = parse_engine_spec(spec_str);
 
     if (spec.name == "lsa") {
-        detail_facade::require_engine_keys(spec, {"versions", "cm"});
+        detail_facade::require_engine_keys(spec, {"versions"});
         StmConfig cfg;
         detail_facade::apply_common(spec, cfg);
         cfg.max_versions = static_cast<unsigned>(
             spec.u64("versions", cfg.max_versions));
-        cfg.contention_manager = tb::to_lower(
-            spec.str("cm", cfg.contention_manager));
         return Engine::make_owning(
             EngineKind::kLsa, "lsa", spec_str,
             std::make_shared<LsaAdapter>(std::move(tbase), std::move(cfg)));

@@ -29,9 +29,9 @@ namespace chronostm {
 namespace fp {
 
 enum Site : unsigned {
-    k_lsa_commit_post_lock = 0,  // write locks held, descriptor not yet published
+    k_lsa_commit_post_lock = 0,  // write locks held, stamp not yet drawn
     k_lsa_commit_pre_stamp,      // between epoch bump and commit-stamp draw
-    k_lsa_commit_pre_writeback,  // descriptor committed, data not yet applied
+    k_lsa_commit_pre_writeback,  // commit decided, data not yet applied
     k_lsa_commit_pre_unlock,     // data applied, version locks not yet released
     k_lsa_read,                  // inside TVar read (abort / delay)
     k_orec_commit_post_lock,

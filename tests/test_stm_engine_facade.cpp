@@ -66,10 +66,10 @@ void check_registry_grammar() {
     expect_invalid([] { stm::make("glock:bits=4"); }, "unknown key");
     expect_invalid([] { stm::make("vstm:heuristic=maybe"); }, "on/off");
     expect_invalid([] { stm::make("lsa:versions"); }, "key=value");
-    // Removed knobs fail like any other unknown key or policy.
+    // Removed knobs fail like any other unknown key.
     expect_invalid([] { stm::make("lsa:help=on"); }, "unknown key");
     expect_invalid([] { stm::make("orec:writeback=eager"); }, "unknown key");
-    expect_invalid([] { stm::make("lsa:cm=karma"); }, "karma");
+    expect_invalid([] { stm::make("lsa:cm=polite"); }, "unknown key 'cm'");
 
     // Comma-separated lists: a comma followed by key=value extends the
     // preceding spec, otherwise it starts a new one.
@@ -90,13 +90,12 @@ void check_config_plumbing() {
     // Engine-specific keys land in the concrete config (get_if hatch).
     {
         stm::Engine e =
-            stm::make("lsa:versions=4,cm=Timestamp,irrev=32,filter=off");
+            stm::make("lsa:versions=4,irrev=32,filter=off");
         auto* a = stm::get_if<stm::LsaAdapter>(e);
         CHECK(a != nullptr);
         CHECK(stm::get_if<stm::OrecAdapter>(e) == nullptr);
         const StmConfig& c = a->stm().config();
         CHECK(c.max_versions == 4);
-        CHECK(c.contention_manager == "timestamp");
         CHECK(c.irrevocable_threshold == 32);
         CHECK(!c.epoch_filter);
     }

@@ -40,8 +40,8 @@ void check_throwing_functor(Adapter& adapter) {
     CHECK(threw);
     CHECK(v.unsafe_peek() == 10);  // the aborted attempt published nothing
 
-    // Same context, fresh transaction: access sets were reset, no lock or
-    // descriptor state survived the unwind.
+    // Same context, fresh transaction: access sets were reset, no lock
+    // state survived the unwind.
     adapter.run(ctx, [&](typename Adapter::Txn& tx) {
         tx.write(v, tx.read(v) + 1);
     });
