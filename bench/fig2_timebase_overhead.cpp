@@ -65,7 +65,7 @@ Point measure(A& adapter, unsigned threads, unsigned accesses,
 // the whole figure can be re-run on any stm::make() spec with
 // --engine=orec (or tl2/vstm/glock as flat reference lines -- they
 // ignore the time-base axis). CI also re-runs it once with
-// --epoch-filter=off to keep the full-walk validation path exercised.
+// --filter-stripes=0 to keep the full-walk validation path exercised.
 // Each cell builds a FRESH engine from the registry so counters start
 // zeroed, mirroring the per-cell tb::make.
 Point measure_engine(const std::string& engine_spec,
@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
     Cli cli("Figure 2: time-base overhead, disjoint update transactions");
     wl::flag_timebase(cli, "shared,batched:B=8,mmtimer,perfect");
     wl::flag_engine(cli);
-    wl::flag_epoch_filter(cli);
     wl::flag_filter_stripes(cli);
     wl::flag_irrevocable_threshold(cli);
     wl::flag_chaos_seed(cli);
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
         wl::validate_engine_flag(cli);
         if (wl::engine_specs(cli).empty())
             throw std::invalid_argument("--engine resolved to no specs");
-        wl::epoch_filter_enabled(cli);
         if (wl::filter_stripes_flag(cli).size() != 1)
             throw std::invalid_argument(
                 "--filter-stripes takes exactly one value here");
@@ -108,15 +106,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
-    const bool epoch_filter = wl::epoch_filter_enabled(cli);
     const unsigned filter_stripes = wl::filter_stripes_flag(cli).front();
     const unsigned irrev_threshold = wl::irrevocable_threshold_flag(cli);
     // One engine spec drives the figure; the driver-level flags append as
     // registry keys (later key wins, so the flags override spec keys).
     const std::string engine_spec = wl::engine_spec_with(
         wl::engine_specs(cli).front(),
-        std::string("filter=") + (epoch_filter ? "on" : "off") +
-            ",stripes=" + std::to_string(filter_stripes) +
+        "stripes=" + std::to_string(filter_stripes) +
             ",irrev=" + std::to_string(irrev_threshold));
     const std::string engine_name = stm::parse_engine_spec(engine_spec).name;
 #ifdef CHRONOSTM_FAILPOINTS
@@ -146,7 +142,6 @@ int main(int argc, char** argv) {
         .kv("duration_ms", duration)
         .kv("timebase", cli.str("timebase"))
         .kv("engine", cli.str("engine"))
-        .kv("epoch_filter", epoch_filter)
         .kv("filter_stripes", filter_stripes)
         .key("panels")
         .arr_begin();

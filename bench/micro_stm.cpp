@@ -17,7 +17,12 @@
 //    per-TVar indirection it replaces).
 //  * BM_Orec_Update_Batched8 vs BM_Tl2_Update: orec LSA on the batched
 //    scalable counter must beat the global-clock TL2 baseline on the
-//    100-write row (what snapshot extension + a scalable base buy).
+//    100-write row. At one thread no read ever extends, so the margin
+//    (~10-11 us TL2 vs ~4-5 us for orec on either the batched or the
+//    shared counter, 4-vCPU x86-64 host) is mostly the TL2 baseline's
+//    write set -- heap-allocated, virtual-publish records probed
+//    linearly by every read and write -- not snapshot extension or the
+//    scalable base.
 //  * BM_Update_Wide_Counter keeps a two-word payload (16-byte value and
 //    history-entry accesses) measured next to the word-sized TVars.
 
@@ -173,8 +178,9 @@ void bm_tl2_update_txn(benchmark::State& state) {
 // on a side thread clock of the SAME time base (time moves, but no writer
 // commits, so the commit epoch is unchanged) and calls try_extend_now().
 // Filter on: the O(1) epoch comparison admits the new snapshot bound.
-// Filter off (_NoFilter twins): the full O(R) read-set walk runs every
-// time. check_bench.py --epoch-gate requires on >= 2x off at R=8192.
+// Filter off (_NoFilter twins, filter_stripes = 0): the full O(R)
+// read-set walk runs every time. check_bench.py --epoch-gate requires
+// on >= 2x off at R=8192.
 //
 // The filter arms on demand (DESIGN.md "Stripes on demand"): an unarmed
 // extension walk over R >= kArmWalk entries asks for it, and the request
@@ -204,7 +210,7 @@ void bm_extend_lsa(benchmark::State& state, const std::string& spec,
                    bool filter) {
     const auto reads = static_cast<std::size_t>(state.range(0));
     StmConfig cfg;
-    cfg.epoch_filter = filter;
+    if (!filter) cfg.filter_stripes = 0;
     Rig rig(spec, reads, cfg);
     auto ctx = rig.stm.make_context();
     auto side = rig.stm.time_base().make_thread_clock();
@@ -233,7 +239,7 @@ void bm_extend_orec(benchmark::State& state, const std::string& spec,
                     bool filter) {
     const auto reads = static_cast<std::size_t>(state.range(0));
     OrecConfig cfg;
-    cfg.epoch_filter = filter;
+    if (!filter) cfg.filter_stripes = 0;
     OrecRig rig(spec, reads, cfg);
     auto ctx = rig.stm.make_context();
     auto side = rig.stm.time_base().make_thread_clock();
@@ -550,7 +556,7 @@ int main(int argc, char** argv) {
     // under a spec-tagged name, so sweeps never shadow the gated rows.
     // --engine takes a full stm::make() registry spec and points the
     // dynamic rows at that engine; its keys flow into the rows' config
-    // ("orec:bits=14,filter=off"). The dynamic rows sweep time bases, so
+    // ("orec:bits=14,stripes=0"). The dynamic rows sweep time bases, so
     // only the time-base engines (lsa, orec) are accepted -- but the spec
     // is still resolved through the registry first, so an unknown name or
     // key exits 2 with the registry's one-line message, same as a

@@ -85,9 +85,9 @@
 
 namespace chronostm {
 
-// The shared knobs (read_extension, lock_spin, epoch_filter, max_retries,
+// The shared knobs (read_extension, lock_spin, filter_stripes, max_retries,
 // irrevocable_threshold, commit_publish_hook) live in stm::CommonConfig;
-// the old spellings -- cfg.epoch_filter etc. -- are the inherited members.
+// the old spellings -- cfg.filter_stripes etc. -- are the inherited members.
 struct StmConfig : stm::CommonConfig {
     // Versions kept per TVar including the current one; 1 = no history
     // (TL2-like), larger values let long readers survive concurrent

@@ -69,7 +69,7 @@
 namespace chronostm {
 
 // The shared knobs (read_extension, lock_spin, max_retries,
-// irrevocable_threshold, epoch_filter, commit_publish_hook) live in
+// irrevocable_threshold, filter_stripes, commit_publish_hook) live in
 // stm::CommonConfig; the old spellings are the inherited members.
 struct OrecConfig : stm::CommonConfig {
     // log2 of the orec-table size; 2^16 entries * 8 bytes = 512 KiB.

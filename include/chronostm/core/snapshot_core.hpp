@@ -625,7 +625,8 @@ class SnapshotEngine {
     unsigned filter_stripe_of(const void* p) const {
         return epoch_stripes_.stripe_of(p);
     }
-    unsigned filter_stripes() const { return epoch_stripes_.count(); }
+    // 0 when the filter is off.
+    unsigned filter_stripes() const { return cfg_.filter_stripes; }
 
     const Cfg& config() const { return cfg_; }
     tb::TimeBase& time_base() { return tbase_; }
@@ -635,7 +636,7 @@ class SnapshotEngine {
     bool irrevocable_active() const { return irrev_gate_.active(); }
 
     // Whether the epoch stripes are armed (sticky once true; never with
-    // epoch_filter off). Attempts that begin after this reads true touch
+    // filter_stripes = 0). Attempts that begin after this reads true touch
     // and trust the stripes; exposed for tests and instrumentation.
     bool filter_armed() const {
         return filter_state_.word.load(std::memory_order_acquire) ==
@@ -649,7 +650,8 @@ class SnapshotEngine {
         : tbase_(std::move(tbase)),
           cfg_(std::move(cfg)),
           epoch_stripes_(std::move(stripes)) {
-        cfg_.filter_stripes = epoch_stripes_.count();
+        if (cfg_.filter_stripes != 0)
+            cfg_.filter_stripes = epoch_stripes_.count();
     }
     ~SnapshotEngine() = default;
 
@@ -877,7 +879,7 @@ class SnapshotTx {
     // (SnapshotContext::arm_stripes). Never with the filter off.
     void note_unarmed_walk() {
         if (sets_->reads.size() >= SnapshotEngine<Cfg>::kArmWalk &&
-            cfg_.epoch_filter)
+            cfg_.filter_stripes != 0)
             *arm_request_ = true;
     }
 
@@ -1157,7 +1159,7 @@ class SnapshotTx {
         const auto& sc = sets_->stripes;
         bool epoch_clean = stripes_on_;
         std::uint64_t wsig = 0;  // stripes this commit bumped
-        if (cfg_.epoch_filter &&
+        if (cfg_.filter_stripes != 0 &&
             (irrevocable_ ||
              filter_state_->load(std::memory_order_seq_cst) != kFilterOff)) {
             for (const auto& rec : sets_->writes) {

@@ -3,18 +3,23 @@
 //
 //   EnginePolicy       -- the public path: a runtime-selected type-erased
 //                         stm::Engine from the registry (stm::make). One
-//                         switch-on-kind per transaction: run() hands the
+//                         kind dispatch per transaction: run() hands the
 //                         containers' generic lambdas the concrete
 //                         adapter's DirectPolicy<A>::Tx, so every slot
 //                         access inlines into the engine's read/write fast
 //                         path. A functor taking only stm::Txn& (perfbench's
 //                         traced TracePolicy) still runs through
-//                         stm::Engine::run and keeps the per-access switch.
+//                         stm::Engine::run and keeps the per-access
+//                         dispatch.
 //   DirectPolicy<A>    -- the compile-time twin over a concrete adapter;
-//                         the code EnginePolicy runs after its switch.
+//                         the code EnginePolicy runs after its dispatch.
 //                         The datastructure bench prices EnginePolicy's
-//                         one switch (the <= 15% gate in check_bench.py)
+//                         one dispatch (the <= 15% gate in check_bench.py)
 //                         against it.
+//
+// Both read the slot layout and access from the one table,
+// stm::SlotTraits<A> (stm/facade.hpp): DirectPolicy directly, EnginePolicy
+// through stm::Engine's slot ops.
 //
 // A policy provides: Ctx, make_context(), run(ctx, f) calling f(tx&) with
 // a handle exposing load(slot)/store(slot, v)/abort(), and the slot layout
@@ -41,109 +46,11 @@
 namespace chronostm {
 namespace ds {
 
-// How each concrete adapter stores and accesses one transactional word;
-// the compile-time mirror of the Engine slot switch.
-template <typename A>
-struct SlotTraits;
-
-template <>
-struct SlotTraits<stm::LsaAdapter> {
-    using Slot = stm::LsaSlot;
-    static constexpr std::size_t size() { return sizeof(Slot); }
-    static constexpr std::size_t align() { return alignof(Slot); }
-    static void init(void* p, std::uint64_t v) { new (p) Slot(v); }
-    static void destroy(void* p) { static_cast<Slot*>(p)->~Slot(); }
-    static std::uint64_t peek(const void* p) {
-        return static_cast<const Slot*>(p)->unsafe_peek();
-    }
-    static std::uint64_t load(stm::LsaAdapter::Txn& t, void* p) {
-        return static_cast<Slot*>(p)->get(t.inner());
-    }
-    static void store(stm::LsaAdapter::Txn& t, void* p, std::uint64_t v) {
-        static_cast<Slot*>(p)->set(t.inner(), v);
-    }
-};
-
-template <>
-struct SlotTraits<stm::OrecAdapter> {
-    static constexpr std::size_t size() { return sizeof(std::uint64_t); }
-    static constexpr std::size_t align() { return alignof(std::uint64_t); }
-    static void init(void* p, std::uint64_t v) {
-        __atomic_store_n(static_cast<std::uint64_t*>(p), v, __ATOMIC_RELAXED);
-    }
-    static void destroy(void*) {}
-    static std::uint64_t peek(const void* p) {
-        return __atomic_load_n(
-            static_cast<const std::uint64_t*>(const_cast<void*>(p)),
-            __ATOMIC_RELAXED);
-    }
-    static std::uint64_t load(stm::OrecAdapter::Txn& t, void* p) {
-        return t.inner().read(static_cast<const std::uint64_t*>(p));
-    }
-    static void store(stm::OrecAdapter::Txn& t, void* p, std::uint64_t v) {
-        t.inner().write(static_cast<std::uint64_t*>(p), v);
-    }
-};
-
-namespace detail {
-
-// TL2 and VSTM share the wstm::Var slot; glock shares the bare-word one.
-template <typename A>
-struct WordStmSlotTraits {
-    using Slot = stm::WordSlot;
-    static constexpr std::size_t size() { return sizeof(Slot); }
-    static constexpr std::size_t align() { return alignof(Slot); }
-    static void init(void* p, std::uint64_t v) { new (p) Slot(v); }
-    static void destroy(void* p) { static_cast<Slot*>(p)->~Slot(); }
-    static std::uint64_t peek(const void* p) {
-        return static_cast<const Slot*>(p)->unsafe_peek();
-    }
-    static std::uint64_t load(typename A::Txn& t, void* p) {
-        return t.read(*static_cast<Slot*>(p));
-    }
-    static void store(typename A::Txn& t, void* p, std::uint64_t v) {
-        t.write(*static_cast<Slot*>(p), v);
-    }
-};
-
-}  // namespace detail
-
-template <>
-struct SlotTraits<stm::Tl2Adapter>
-    : detail::WordStmSlotTraits<stm::Tl2Adapter> {};
-template <>
-struct SlotTraits<stm::VstmAdapter>
-    : detail::WordStmSlotTraits<stm::VstmAdapter> {};
-
-template <>
-struct SlotTraits<stm::GlobalLockAdapter> {
-    static constexpr std::size_t size() { return sizeof(std::uint64_t); }
-    static constexpr std::size_t align() { return alignof(std::uint64_t); }
-    static void init(void* p, std::uint64_t v) {
-        __atomic_store_n(static_cast<std::uint64_t*>(p), v, __ATOMIC_RELAXED);
-    }
-    static void destroy(void*) {}
-    static std::uint64_t peek(const void* p) {
-        return __atomic_load_n(
-            static_cast<const std::uint64_t*>(const_cast<void*>(p)),
-            __ATOMIC_RELAXED);
-    }
-    // The glock Txn holds the big lock; relaxed atomics keep quiesced
-    // peeks race-free under TSan.
-    static std::uint64_t load(stm::GlobalLockAdapter::Txn&, void* p) {
-        return peek(p);
-    }
-    static void store(stm::GlobalLockAdapter::Txn&, void* p,
-                      std::uint64_t v) {
-        init(p, v);
-    }
-};
-
 // The compile-time twin: same container code, direct template calls.
 template <typename A>
 struct DirectPolicy {
     using Ctx = typename A::Context;
-    using Traits = SlotTraits<A>;
+    using Traits = stm::SlotTraits<A>;
 
     A* a;
 
@@ -176,7 +83,7 @@ struct DirectPolicy {
     stm::Engine::SlotDtor slot_dtor() const { return &Traits::destroy; }
 };
 
-// The public path: one runtime-selected engine, one switch per
+// The public path: one runtime-selected engine, one kind dispatch per
 // transaction.
 struct EnginePolicy {
     using Ctx = stm::Context;

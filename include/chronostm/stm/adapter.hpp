@@ -30,17 +30,22 @@
 //                         wrapped object or a registry handle from
 //                         tb::make("batched:B=16")), with multi-version
 //                         history and the commit-epoch validation filter
-//                         (StmConfig::epoch_filter).
+//                         (StmConfig::filter_stripes; 0 = off).
 //   * OrecAdapter      -- LSA over a global orec table (core/orec_stm.hpp):
 //                         raw-memory words hashed to versioned locks by
 //                         (addr >> 4) & mask, same time-base facade,
 //                         snapshot extension, and commit-epoch filter
-//                         (OrecConfig::epoch_filter), single-version.
+//                         (OrecConfig::filter_stripes), single-version.
 //                         Var<T> is the metadata-free WordVar<T>.
 //   * Tl2Adapter       -- single-version, global-version-clock TL2.
 //   * VstmAdapter      -- validation-based STM, +- commit-counter
 //                         heuristic (VstmConfig).
 //   * GlobalLockAdapter-- one mutex around everything.
+//
+// The type-erased engine facade (stm/facade.hpp) stores words in raw
+// slots; its SlotTraits table defaults to the adapter's own
+// Var<std::uint64_t> (LSA, TL2, VSTM) and gives orec and glock a bare
+// word, so a new adapter whose Var fits needs no slot code.
 
 #pragma once
 

@@ -15,28 +15,35 @@
 // Same grammar rules as tb::make: name before ':', case-insensitive
 // lowercased keys, later key wins, unknown names/keys throw loudly.
 // Common knobs (stm::CommonConfig) parse uniformly across engines --
-// spin=, retries=, irrev=, filter=, stripes=, ext= -- plus
-// each engine's private keys (orec: bits=; lsa: versions=;
-// vstm: heuristic=).
+// spin=, retries=, irrev=, stripes=, ext= -- plus each engine's private
+// keys (orec: bits=; lsa: versions=; vstm: heuristic=).
 //
 // The data plane is a SLOT, not a Var<T>: each engine stores a
-// transactional 64-bit word differently (LSA: a three-word TVar<u64>
-// whose history ring is an on-demand heap block; orec: a bare word its global
-// orec table hashes; TL2/VSTM: a versioned-lock wstm::Var<u64>; glock: a
-// bare word), so the engine reports slot_size()/slot_align() and
-// containers lay raw nodes out at runtime: [node header | slot | slot
-// ...]. Dispatch is a switch on the kind tag -- no virtual calls. A
-// stm::Txn switches once per load/store; the containers skip that:
-// ds::EnginePolicy (ds/policy.hpp) switches once per transaction and runs
-// their generic functors over the concrete adapter's handle. A functor
-// taking stm::Txn& -- perfbench's traced TracePolicy passes one -- keeps
-// the per-access switch. The datastructure driver gates EnginePolicy at
+// transactional 64-bit word differently, so the engine reports
+// slot_size()/slot_align() and containers lay raw nodes out at runtime:
+// [node header | slot | slot ...]. SlotTraits<A> below is the one table of
+// how adapter A lays out, initialises, peeks, loads and stores a slot;
+// stm::Engine's slot ops, stm::Txn's per-access path and ds::DirectPolicy
+// all read it.
+//
+// Dispatch is one switch on the kind tag, dispatch_kind(), which hands a
+// generic lambda the kind's compile-time tag -- no virtual calls. Every
+// kind-dependent member below is one such lambda. A stm::Txn dispatches
+// once per load/store; the containers skip that: ds::EnginePolicy
+// (ds/policy.hpp) dispatches once per transaction and runs their generic
+// functors over the concrete adapter's handle. A functor taking
+// stm::Txn& -- perfbench's traced TracePolicy passes one -- keeps the
+// per-access dispatch. The datastructure driver gates EnginePolicy at
 // <= 15% vs the DirectPolicy twin.
 //
 // Escape hatches mirror the time-base facade: get_if<LsaAdapter>(eng) for
 // telemetry that needs the concrete type, and stm::visit(eng, f) to hand
 // the concrete adapter to code templated over the adapter concept (the
 // legacy workloads).
+//
+// Adding an engine means one adapter, one SlotTraits entry (none if its
+// slot is its own Var<std::uint64_t>), one dispatch_kind case and one
+// registry branch in make().
 
 #pragma once
 
@@ -46,6 +53,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,91 +71,135 @@ enum class EngineKind : unsigned {
     kGlock,
 };
 
-// The LSA slot is the plain TVar<u64>: three words (vlock, value, history
-// pointer). Its ring, max_versions - 1 entries, is allocated only by the
-// first commit that keeps history -- never while the engine's on-demand
-// history switch is off -- and freed by slot_dtor with the node.
-using LsaSlot = TVar<std::uint64_t>;
-using WordSlot = wstm::Var<std::uint64_t>;
+// ---- the slot table ----------------------------------------------------
+//
+// By default a slot is the adapter's own Var<std::uint64_t>, accessed
+// through its Txn's read/write: LSA's three-word TVar (vlock, value,
+// history pointer; the ring, max_versions - 1 entries, is allocated only
+// by the first commit that keeps history and freed by the slot's
+// destructor) and TL2/VSTM's versioned-lock wstm::Var.
+template <typename A>
+struct SlotTraits {
+    using Slot = typename A::template Var<std::uint64_t>;
+    static constexpr std::size_t size() { return sizeof(Slot); }
+    static constexpr std::size_t align() { return alignof(Slot); }
+    static void init(void* p, std::uint64_t v) { new (p) Slot(v); }
+    static void destroy(void* p) { static_cast<Slot*>(p)->~Slot(); }
+    // Quiesced-state check only (TVar::unsafe_peek contract).
+    static std::uint64_t peek(const void* p) {
+        return static_cast<const Slot*>(p)->unsafe_peek();
+    }
+    static std::uint64_t load(typename A::Txn& t, void* p) {
+        return t.read(*static_cast<Slot*>(p));
+    }
+    static void store(typename A::Txn& t, void* p, std::uint64_t v) {
+        t.write(*static_cast<Slot*>(p), v);
+    }
+};
 
-namespace detail_facade {
+// The LSA slot by name, for code that places one directly.
+using LsaSlot = SlotTraits<LsaAdapter>::Slot;
 
-inline std::uint64_t raw_load(const void* p) noexcept {
-    return __atomic_load_n(static_cast<const std::uint64_t*>(
-                               const_cast<void*>(p)),
-                           __ATOMIC_RELAXED);
+// A bare 64-bit word: orec hashes its address into the orec table, glock
+// guards it with the big lock. Relaxed atomics keep quiesced peeks
+// race-free under TSan.
+struct BareWordSlot {
+    using Slot = std::uint64_t;
+    static constexpr std::size_t size() { return sizeof(Slot); }
+    static constexpr std::size_t align() { return alignof(Slot); }
+    static void init(void* p, std::uint64_t v) {
+        __atomic_store_n(static_cast<Slot*>(p), v, __ATOMIC_RELAXED);
+    }
+    static void destroy(void*) {}
+    static std::uint64_t peek(const void* p) {
+        return __atomic_load_n(static_cast<const Slot*>(p), __ATOMIC_RELAXED);
+    }
+};
+
+template <>
+struct SlotTraits<OrecAdapter> : BareWordSlot {
+    static std::uint64_t load(OrecAdapter::Txn& t, void* p) {
+        return t.inner().read(static_cast<const Slot*>(p));
+    }
+    static void store(OrecAdapter::Txn& t, void* p, std::uint64_t v) {
+        t.inner().write(static_cast<Slot*>(p), v);
+    }
+};
+
+template <>
+struct SlotTraits<GlobalLockAdapter> : BareWordSlot {
+    // The glock Txn holds the big lock; plain word access.
+    static std::uint64_t load(GlobalLockAdapter::Txn&, void* p) {
+        return peek(p);
+    }
+    static void store(GlobalLockAdapter::Txn&, void* p, std::uint64_t v) {
+        init(p, v);
+    }
+};
+
+// ---- the kind dispatch -------------------------------------------------
+
+// Compile-time stand-in for one engine kind (C++17 has no
+// std::type_identity): its tag value and adapter type.
+template <EngineKind K, typename A>
+struct KindTag {
+    static constexpr EngineKind kind = K;
+    using Adapter = A;
+    using Slots = SlotTraits<A>;
+};
+
+// The one EngineKind -> adapter switch: calls f(KindTag<k, A>{}). Every
+// arm must yield the same type. Forced inline, so each caller holds the
+// switch itself, as if it were written out there.
+template <typename F>
+__attribute__((always_inline)) inline decltype(auto) dispatch_kind(
+    EngineKind k, F&& f) {
+    switch (k) {
+        case EngineKind::kLsa:
+            return f(KindTag<EngineKind::kLsa, LsaAdapter>{});
+        case EngineKind::kOrec:
+            return f(KindTag<EngineKind::kOrec, OrecAdapter>{});
+        case EngineKind::kTl2:
+            return f(KindTag<EngineKind::kTl2, Tl2Adapter>{});
+        case EngineKind::kVstm:
+            return f(KindTag<EngineKind::kVstm, VstmAdapter>{});
+        case EngineKind::kGlock:
+            return f(KindTag<EngineKind::kGlock, GlobalLockAdapter>{});
+    }
+    __builtin_unreachable();
 }
-inline void raw_store(void* p, std::uint64_t v) noexcept {
-    __atomic_store_n(static_cast<std::uint64_t*>(p), v, __ATOMIC_RELAXED);
-}
-
-}  // namespace detail_facade
 
 // Per-attempt transaction handle: a kind tag plus a pointer to the
 // concrete engine transaction living on the run() stack frame. Valid only
 // inside the user functor invocation that received it.
 class Txn {
- public:
-    std::uint64_t load(void* slot) {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                return static_cast<LsaSlot*>(slot)->get(
-                    static_cast<LsaAdapter::Txn*>(p_)->inner());
-            case EngineKind::kOrec:
-                return static_cast<OrecAdapter::Txn*>(p_)->inner().read(
-                    static_cast<const std::uint64_t*>(slot));
-            case EngineKind::kTl2:
-                return static_cast<tl2::Txn*>(p_)->read(
-                    *static_cast<WordSlot*>(slot));
-            case EngineKind::kVstm:
-                return static_cast<vstm::Txn*>(p_)->read(
-                    *static_cast<WordSlot*>(slot));
-            case EngineKind::kGlock:
-                // The glock Txn holds the big lock; plain word access
-                // (relaxed atomic so quiesced peeks race nothing).
-                return detail_facade::raw_load(slot);
-        }
-        __builtin_unreachable();
+    // f(tag, concrete A::Txn&). Helpers with deduced return types come
+    // before their uses.
+    template <typename F>
+    __attribute__((always_inline)) decltype(auto) with_txn(F&& f) {
+        return dispatch_kind(kind_, [&](auto k) -> decltype(auto) {
+            using A = typename decltype(k)::Adapter;
+            return f(k, *static_cast<typename A::Txn*>(p_));
+        });
     }
 
-    void store(void* slot, std::uint64_t v) {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                static_cast<LsaSlot*>(slot)->set(
-                    static_cast<LsaAdapter::Txn*>(p_)->inner(), v);
-                return;
-            case EngineKind::kOrec:
-                static_cast<OrecAdapter::Txn*>(p_)->inner().write(
-                    static_cast<std::uint64_t*>(slot), v);
-                return;
-            case EngineKind::kTl2:
-                static_cast<tl2::Txn*>(p_)->write(
-                    *static_cast<WordSlot*>(slot), v);
-                return;
-            case EngineKind::kVstm:
-                static_cast<vstm::Txn*>(p_)->write(
-                    *static_cast<WordSlot*>(slot), v);
-                return;
-            case EngineKind::kGlock:
-                detail_facade::raw_store(slot, v);
-                return;
-        }
-        __builtin_unreachable();
+ public:
+    // Forced inline like the helpers, so the per-access dispatch sits in
+    // the caller (perfbench's traced loads price it).
+    __attribute__((always_inline)) std::uint64_t load(void* slot) {
+        return with_txn([&](auto k, auto& t) {
+            return decltype(k)::Slots::load(t, slot);
+        });
+    }
+
+    __attribute__((always_inline)) void store(void* slot, std::uint64_t v) {
+        with_txn([&](auto k, auto& t) {
+            decltype(k)::Slots::store(t, slot, v);
+        });
     }
 
     [[noreturn]] void abort() {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                static_cast<LsaAdapter::Txn*>(p_)->abort();
-            case EngineKind::kOrec:
-                static_cast<OrecAdapter::Txn*>(p_)->abort();
-            case EngineKind::kTl2:
-                static_cast<tl2::Txn*>(p_)->abort();
-            case EngineKind::kVstm:
-                static_cast<vstm::Txn*>(p_)->abort();
-            case EngineKind::kGlock:
-                static_cast<glock::Txn*>(p_)->abort();
-        }
+        with_txn([](auto, auto& t) { t.abort(); });
         __builtin_unreachable();
     }
 
@@ -158,6 +210,7 @@ class Txn {
  private:
     friend class Engine;
     Txn(EngineKind k, void* p) noexcept : kind_(k), p_(p) {}
+
     EngineKind kind_;
     void* p_;
 };
@@ -168,17 +221,10 @@ class Context {
     Context() = default;
 
     TxStats stats() const {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                return static_cast<LsaAdapter::Context*>(p_.get())->stats();
-            case EngineKind::kOrec:
-                return static_cast<OrecAdapter::Context*>(p_.get())->stats();
-            case EngineKind::kTl2:
-            case EngineKind::kVstm:
-            case EngineKind::kGlock:
-                return static_cast<StatsRegistry::Context*>(p_.get())->stats();
-        }
-        __builtin_unreachable();
+        return dispatch_kind(kind_, [&](auto k) {
+            using A = typename decltype(k)::Adapter;
+            return static_cast<const typename A::Context*>(p_.get())->stats();
+        });
     }
 
     EngineKind kind() const noexcept { return kind_; }
@@ -195,6 +241,22 @@ class Context {
 // Owning, copyable engine handle (copies share the engine, like
 // tb::TimeBase).
 class Engine {
+    // f(tag, concrete adapter&).
+    template <typename F>
+    __attribute__((always_inline)) decltype(auto) with_adapter(F&& f) const {
+        return dispatch_kind(kind_, [&](auto k) -> decltype(auto) {
+            return f(k, *static_cast<typename decltype(k)::Adapter*>(ptr_));
+        });
+    }
+
+    // f(SlotTraits<A>{}) for this engine's adapter A.
+    template <typename F>
+    __attribute__((always_inline)) decltype(auto) with_slots(F&& f) const {
+        return dispatch_kind(kind_, [&](auto k) -> decltype(auto) {
+            return f(typename decltype(k)::Slots{});
+        });
+    }
+
  public:
     Engine() = default;
 
@@ -205,124 +267,38 @@ class Engine {
     const std::string& spec() const noexcept { return spec_; }
     bool valid() const noexcept { return ptr_ != nullptr; }
 
-    // ---- data plane: slot layout -------------------------------------
+    // ---- data plane: the slot table's row for this engine ------------
     std::size_t slot_size() const noexcept {
-        switch (kind_) {
-            case EngineKind::kLsa: return sizeof(LsaSlot);
-            case EngineKind::kOrec: return sizeof(std::uint64_t);
-            case EngineKind::kTl2:
-            case EngineKind::kVstm: return sizeof(WordSlot);
-            case EngineKind::kGlock: return sizeof(std::uint64_t);
-        }
-        __builtin_unreachable();
+        return with_slots([](auto s) { return s.size(); });
     }
-
     std::size_t slot_align() const noexcept {
-        switch (kind_) {
-            case EngineKind::kLsa: return alignof(LsaSlot);
-            case EngineKind::kOrec: return alignof(std::uint64_t);
-            case EngineKind::kTl2:
-            case EngineKind::kVstm: return alignof(WordSlot);
-            case EngineKind::kGlock: return alignof(std::uint64_t);
-        }
-        __builtin_unreachable();
+        return with_slots([](auto s) { return s.align(); });
     }
-
     void slot_init(void* p, std::uint64_t v) const {
-        switch (kind_) {
-            case EngineKind::kLsa: new (p) LsaSlot(v); return;
-            case EngineKind::kTl2:
-            case EngineKind::kVstm: new (p) WordSlot(v); return;
-            case EngineKind::kOrec:
-            case EngineKind::kGlock:
-                detail_facade::raw_store(p, v);
-                return;
-        }
-        __builtin_unreachable();
+        with_slots([&](auto s) { s.init(p, v); });
     }
-
     void slot_destroy(void* p) const noexcept {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                static_cast<LsaSlot*>(p)->~LsaSlot();
-                return;
-            case EngineKind::kTl2:
-            case EngineKind::kVstm:
-                static_cast<WordSlot*>(p)->~WordSlot();
-                return;
-            case EngineKind::kOrec:
-            case EngineKind::kGlock:
-                return;  // bare words
-        }
-        __builtin_unreachable();
+        with_slots([&](auto s) { s.destroy(p); });
     }
-
     // Plain-function slot destructor, for reclamation-time deleters that
     // outlive any particular call frame (epoch limbo entries).
     using SlotDtor = void (*)(void*);
     SlotDtor slot_dtor() const noexcept {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                return [](void* p) { static_cast<LsaSlot*>(p)->~LsaSlot(); };
-            case EngineKind::kTl2:
-            case EngineKind::kVstm:
-                return
-                    [](void* p) { static_cast<WordSlot*>(p)->~WordSlot(); };
-            case EngineKind::kOrec:
-            case EngineKind::kGlock:
-                return [](void*) {};
-        }
-        __builtin_unreachable();
+        return with_slots(
+            [](auto s) -> SlotDtor { return &decltype(s)::destroy; });
     }
-
     // Quiesced-state check only (TVar::unsafe_peek contract).
     std::uint64_t slot_peek(const void* p) const noexcept {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                return static_cast<const LsaSlot*>(p)->unsafe_peek();
-            case EngineKind::kTl2:
-            case EngineKind::kVstm:
-                return static_cast<const WordSlot*>(p)->unsafe_peek();
-            case EngineKind::kOrec:
-            case EngineKind::kGlock:
-                return detail_facade::raw_load(p);
-        }
-        __builtin_unreachable();
+        return with_slots([&](auto s) { return s.peek(p); });
     }
 
     // ---- control plane -----------------------------------------------
     Context make_context() const {
-        switch (kind_) {
-            case EngineKind::kLsa: {
-                auto* a = static_cast<LsaAdapter*>(ptr_);
-                return Context(kind_, std::make_shared<LsaAdapter::Context>(
-                                          a->make_context()));
-            }
-            case EngineKind::kOrec: {
-                auto* a = static_cast<OrecAdapter*>(ptr_);
-                return Context(kind_, std::make_shared<OrecAdapter::Context>(
-                                          a->make_context()));
-            }
-            case EngineKind::kTl2: {
-                auto* a = static_cast<Tl2Adapter*>(ptr_);
-                return Context(kind_,
-                               std::make_shared<StatsRegistry::Context>(
-                                   a->make_context()));
-            }
-            case EngineKind::kVstm: {
-                auto* a = static_cast<VstmAdapter*>(ptr_);
-                return Context(kind_,
-                               std::make_shared<StatsRegistry::Context>(
-                                   a->make_context()));
-            }
-            case EngineKind::kGlock: {
-                auto* a = static_cast<GlobalLockAdapter*>(ptr_);
-                return Context(kind_,
-                               std::make_shared<StatsRegistry::Context>(
-                                   a->make_context()));
-            }
-        }
-        __builtin_unreachable();
+        return with_adapter([&](auto k, auto& a) {
+            using A = typename decltype(k)::Adapter;
+            return Context(kind_, std::make_shared<typename A::Context>(
+                                      a.make_context()));
+        });
     }
 
     // Run `f(stm::Txn&)` until it commits; passes f's return value through.
@@ -330,66 +306,19 @@ class Engine {
     // adapter's own run loop; the facade Txn is a borrowed view of it.
     template <typename F>
     auto run(Context& ctx, F&& f) const {
-        switch (kind_) {
-            case EngineKind::kLsa: {
-                auto* a = static_cast<LsaAdapter*>(ptr_);
-                auto& c = *static_cast<LsaAdapter::Context*>(ctx.raw());
-                return a->run(c, [&](LsaAdapter::Txn& t) {
-                    Txn tx(EngineKind::kLsa, &t);
-                    return f(tx);
-                });
-            }
-            case EngineKind::kOrec: {
-                auto* a = static_cast<OrecAdapter*>(ptr_);
-                auto& c = *static_cast<OrecAdapter::Context*>(ctx.raw());
-                return a->run(c, [&](OrecAdapter::Txn& t) {
-                    Txn tx(EngineKind::kOrec, &t);
-                    return f(tx);
-                });
-            }
-            case EngineKind::kTl2: {
-                auto* a = static_cast<Tl2Adapter*>(ptr_);
-                auto& c = *static_cast<StatsRegistry::Context*>(ctx.raw());
-                return a->run(c, [&](tl2::Txn& t) {
-                    Txn tx(EngineKind::kTl2, &t);
-                    return f(tx);
-                });
-            }
-            case EngineKind::kVstm: {
-                auto* a = static_cast<VstmAdapter*>(ptr_);
-                auto& c = *static_cast<StatsRegistry::Context*>(ctx.raw());
-                return a->run(c, [&](vstm::Txn& t) {
-                    Txn tx(EngineKind::kVstm, &t);
-                    return f(tx);
-                });
-            }
-            case EngineKind::kGlock: {
-                auto* a = static_cast<GlobalLockAdapter*>(ptr_);
-                auto& c = *static_cast<StatsRegistry::Context*>(ctx.raw());
-                return a->run(c, [&](glock::Txn& t) {
-                    Txn tx(EngineKind::kGlock, &t);
-                    return f(tx);
-                });
-            }
-        }
-        __builtin_unreachable();
+        return with_adapter([&](auto k, auto& a) {
+            using A = typename decltype(k)::Adapter;
+            return a.run(*static_cast<typename A::Context*>(ctx.raw()),
+                         [&](typename A::Txn& t) {
+                             Txn tx(decltype(k)::kind, &t);
+                             return f(tx);
+                         });
+        });
     }
 
     TxStats collected_stats() const {
-        switch (kind_) {
-            case EngineKind::kLsa:
-                return static_cast<LsaAdapter*>(ptr_)->collected_stats();
-            case EngineKind::kOrec:
-                return static_cast<OrecAdapter*>(ptr_)->collected_stats();
-            case EngineKind::kTl2:
-                return static_cast<Tl2Adapter*>(ptr_)->collected_stats();
-            case EngineKind::kVstm:
-                return static_cast<VstmAdapter*>(ptr_)->collected_stats();
-            case EngineKind::kGlock:
-                return static_cast<GlobalLockAdapter*>(ptr_)
-                    ->collected_stats();
-        }
-        __builtin_unreachable();
+        return with_adapter(
+            [](auto, auto& a) { return a.collected_stats(); });
     }
 
     // Concrete-adapter escape hatch; see get_if<>() below.
@@ -415,40 +344,15 @@ class Engine {
     void* ptr_ = nullptr;
 };
 
-namespace detail_facade {
-
-template <typename A>
-struct KindOf;
-template <>
-struct KindOf<LsaAdapter> {
-    static constexpr EngineKind value = EngineKind::kLsa;
-};
-template <>
-struct KindOf<OrecAdapter> {
-    static constexpr EngineKind value = EngineKind::kOrec;
-};
-template <>
-struct KindOf<Tl2Adapter> {
-    static constexpr EngineKind value = EngineKind::kTl2;
-};
-template <>
-struct KindOf<VstmAdapter> {
-    static constexpr EngineKind value = EngineKind::kVstm;
-};
-template <>
-struct KindOf<GlobalLockAdapter> {
-    static constexpr EngineKind value = EngineKind::kGlock;
-};
-
-}  // namespace detail_facade
-
 // Telemetry escape hatch: the concrete adapter if (and only if) the
 // engine wraps that type.
 template <typename A>
 A* get_if(const Engine& e) {
-    return e.kind() == detail_facade::KindOf<A>::value
-               ? static_cast<A*>(e.raw())
-               : nullptr;
+    return dispatch_kind(e.kind(), [&](auto k) -> A* {
+        if constexpr (std::is_same_v<typename decltype(k)::Adapter, A>)
+            return static_cast<A*>(e.raw());
+        return nullptr;
+    });
 }
 
 // Bridge to code templated over the adapter concept: calls f with the
@@ -456,19 +360,9 @@ A* get_if(const Engine& e) {
 // a generic lambda that normalizes its result).
 template <typename F>
 decltype(auto) visit(const Engine& e, F&& f) {
-    switch (e.kind()) {
-        case EngineKind::kLsa:
-            return f(*static_cast<LsaAdapter*>(e.raw()));
-        case EngineKind::kOrec:
-            return f(*static_cast<OrecAdapter*>(e.raw()));
-        case EngineKind::kTl2:
-            return f(*static_cast<Tl2Adapter*>(e.raw()));
-        case EngineKind::kVstm:
-            return f(*static_cast<VstmAdapter*>(e.raw()));
-        case EngineKind::kGlock:
-            return f(*static_cast<GlobalLockAdapter*>(e.raw()));
-    }
-    __builtin_unreachable();
+    return dispatch_kind(e.kind(), [&](auto k) -> decltype(auto) {
+        return f(*static_cast<typename decltype(k)::Adapter*>(e.raw()));
+    });
 }
 
 // ---- the string-keyed registry ---------------------------------------
@@ -500,7 +394,7 @@ inline std::string engine_spec_help() {
         s += k.example;
         s += "; ";
     }
-    s += "common keys spin=,retries=,irrev=,filter=,stripes=,ext=; ";
+    s += "common keys spin=,retries=,irrev=,stripes=,ext=; ";
     s += "comma-separated for multi-series drivers";
     return s;
 }
@@ -523,13 +417,12 @@ inline void apply_common(const tb::TimeBaseSpec& s, CommonConfig& c) {
     c.max_retries = static_cast<unsigned>(s.u64("retries", c.max_retries));
     c.irrevocable_threshold =
         static_cast<unsigned>(s.u64("irrev", c.irrevocable_threshold));
-    c.epoch_filter = flag(s, "filter", c.epoch_filter);
     c.filter_stripes =
         static_cast<unsigned>(s.u64("stripes", c.filter_stripes));
 }
 
-constexpr const char* kCommonKeys[] = {"ext",   "spin",   "retries",
-                                       "irrev", "filter", "stripes"};
+constexpr const char* kCommonKeys[] = {"ext",   "spin",  "retries",
+                                       "irrev", "stripes"};
 
 inline void require_engine_keys(const tb::TimeBaseSpec& s,
                                 std::initializer_list<const char*> extra) {

@@ -83,7 +83,7 @@ inline bool engine_is_orec(const Cli& cli) {
 }
 
 // Append registry params to an engine spec (later key wins, so driver
-// flags like --epoch-filter=off can override whatever the spec said).
+// flags like --filter-stripes=0 can override whatever the spec said).
 inline std::string engine_spec_with(std::string spec,
                                     const std::string& extra) {
     if (!extra.empty()) {
@@ -93,31 +93,16 @@ inline std::string engine_spec_with(std::string spec,
     return spec;
 }
 
-// Commit-epoch filter toggle, uniform across drivers that expose it:
-// --epoch-filter=on|off maps onto StmConfig::epoch_filter /
-// OrecConfig::epoch_filter so CI can exercise the filter-off walk path.
-inline Cli& flag_epoch_filter(Cli& cli) {
-    return cli.flag_str("epoch-filter", "on",
-                        "commit-epoch validation filter: on|off");
-}
-
-inline bool epoch_filter_enabled(const Cli& cli) {
-    const std::string& v = cli.str("epoch-filter");
-    if (v == "on") return true;
-    if (v == "off") return false;
-    throw std::invalid_argument(
-        "unknown --epoch-filter '" + v + "' (expected: on, off)");
-}
-
 // Epoch-filter stripe count, uniform across drivers that expose it:
 // --filter-stripes= maps onto stm::CommonConfig::filter_stripes (rounded
-// up to a power of two, clamped to [1, 64] by the engines; 1 reproduces
-// the single-word filter). Comma-separated for sweep drivers.
+// up to a power of two, clamped to 64 by the engines; 1 reproduces the
+// single-word filter, 0 turns the filter off so CI can exercise the
+// full-walk validation path). Comma-separated for sweep drivers.
 inline Cli& flag_filter_stripes(Cli& cli, const std::string& def = "64") {
     return cli.flag_str(
         "filter-stripes", def,
-        "epoch-filter stripe count(s), power of two in [1,64]; 1 = "
-        "single-word filter (comma-separated for sweeps)");
+        "epoch-filter stripe count(s), power of two up to 64; 1 = "
+        "single-word filter, 0 = filter off (comma-separated for sweeps)");
 }
 
 inline std::vector<unsigned> filter_stripes_flag(const Cli& cli) {
@@ -128,9 +113,9 @@ inline std::vector<unsigned> filter_stripes_flag(const Cli& cli) {
         if (i == raw.size() || raw[i] == ',') {
             if (!cur.empty()) {
                 const long v = std::stol(cur);
-                if (v < 1 || v > 64)
+                if (v < 0 || v > 64)
                     throw std::invalid_argument(
-                        "--filter-stripes wants values in [1,64], got '" +
+                        "--filter-stripes wants values in [0,64], got '" +
                         cur + "'");
                 out.push_back(static_cast<unsigned>(v));
                 cur.clear();

@@ -7,7 +7,10 @@
 //     shared by every engine land in the concrete adapter's config
 //   * the slot data plane (size/align/init/peek/destroy/dtor) and the
 //     run/load/store control plane for ALL five engines
-//   * get_if<> / visit escape hatches
+//   * get_if<> / visit escape hatches: get_if<A> is non-null exactly for
+//     the engine's own adapter
+//   * the one slot table (stm::SlotTraits): ds::EnginePolicy and
+//     ds::DirectPolicy<A> agree on slot size, alignment and contents
 //   * atomicity through the facade: a multi-threaded counter and a
 //     forced-abort retry, per engine
 //
@@ -19,8 +22,10 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include <chronostm/ds/policy.hpp>
 #include <chronostm/stm/facade.hpp>
 
 #include "test_util.hpp"
@@ -70,6 +75,9 @@ void check_registry_grammar() {
     expect_invalid([] { stm::make("lsa:help=on"); }, "unknown key");
     expect_invalid([] { stm::make("orec:writeback=eager"); }, "unknown key");
     expect_invalid([] { stm::make("lsa:cm=polite"); }, "unknown key 'cm'");
+    // The filter-off switch is stripes=0; filter= went with its field.
+    expect_invalid([] { stm::make("orec:filter=off"); },
+                   "unknown key 'filter'");
 
     // Comma-separated lists: a comma followed by key=value extends the
     // preceding spec, otherwise it starts a new one.
@@ -90,14 +98,15 @@ void check_config_plumbing() {
     // Engine-specific keys land in the concrete config (get_if hatch).
     {
         stm::Engine e =
-            stm::make("lsa:versions=4,irrev=32,filter=off");
+            stm::make("lsa:versions=4,irrev=32,stripes=0");
         auto* a = stm::get_if<stm::LsaAdapter>(e);
         CHECK(a != nullptr);
         CHECK(stm::get_if<stm::OrecAdapter>(e) == nullptr);
         const StmConfig& c = a->stm().config();
         CHECK(c.max_versions == 4);
         CHECK(c.irrevocable_threshold == 32);
-        CHECK(!c.epoch_filter);
+        CHECK(c.filter_stripes == 0);
+        CHECK(!a->stm().filter_armed());
     }
     // Later occurrences of a key override earlier ones (drivers append
     // sweep keys to user specs and rely on this).
@@ -113,7 +122,7 @@ void check_config_plumbing() {
     for (const char* name : {"lsa", "orec", "tl2", "vstm", "glock"}) {
         const std::string spec =
             std::string(name) +
-            ":spin=128,retries=10000,irrev=32,filter=off,ext=on";
+            ":spin=128,retries=10000,irrev=32,stripes=0,ext=on";
         CHECK_MSG(stm::make(spec).valid(), "common keys on '%s'", name);
     }
     // Common keys reach the lsa/orec configs.
@@ -205,6 +214,45 @@ void check_engine_roundtrip(const stm::Engine& eng) {
     ::operator delete(mem, std::align_val_t(eng.slot_align()));
 }
 
+// get_if<> finds exactly the engine's own adapter, and the slot table
+// reads the same through the type-erased policy and the compile-time twin
+// over that adapter: a slot written by either peeks the same through both.
+void check_slot_table(const stm::Engine& eng) {
+    const char* const names[] = {"lsa", "orec", "tl2", "vstm", "glock"};
+    const bool own[] = {stm::get_if<stm::LsaAdapter>(eng) != nullptr,
+                        stm::get_if<stm::OrecAdapter>(eng) != nullptr,
+                        stm::get_if<stm::Tl2Adapter>(eng) != nullptr,
+                        stm::get_if<stm::VstmAdapter>(eng) != nullptr,
+                        stm::get_if<stm::GlobalLockAdapter>(eng) != nullptr};
+    for (int i = 0; i < 5; ++i)
+        CHECK_MSG(own[i] == (eng.name() == names[i]),
+                  "engine %s: get_if<%s adapter> %s", eng.name().c_str(),
+                  names[i], own[i] ? "non-null" : "null");
+
+    const ds::EnginePolicy erased(eng);
+    stm::visit(eng, [&](auto& adapter) {
+        using A = std::decay_t<decltype(adapter)>;
+        CHECK(stm::get_if<A>(eng) == &adapter);
+        const ds::DirectPolicy<A> direct(adapter);
+        CHECK_MSG(erased.slot_size() == direct.slot_size() &&
+                      erased.slot_align() == direct.slot_align(),
+                  "engine %s: slot %zu/%zu B vs direct %zu/%zu B",
+                  eng.name().c_str(), erased.slot_size(),
+                  erased.slot_align(), direct.slot_size(),
+                  direct.slot_align());
+        // Room for any engine's slot: the erased ops dispatch at run time.
+        alignas(64) unsigned char buf[64];
+        CHECK(direct.slot_size() <= sizeof buf && direct.slot_align() <= 64);
+        void* mem = buf;
+        erased.slot_init(mem, 42);
+        CHECK(erased.slot_peek(mem) == 42 && direct.slot_peek(mem) == 42);
+        erased.slot_destroy(mem);
+        direct.slot_init(mem, 7);
+        CHECK(erased.slot_peek(mem) == 7 && direct.slot_peek(mem) == 7);
+        direct.slot_destroy(mem);
+    });
+}
+
 // Counter hammered from several threads through the facade: the committed
 // total must equal the submitted total on every engine.
 void check_facade_atomicity(const stm::Engine& eng) {
@@ -240,6 +288,7 @@ int main() {
 
     for (const char* spec : {"lsa", "orec", "tl2", "vstm", "glock"}) {
         check_engine_roundtrip(stm::make(spec));
+        check_slot_table(stm::make(spec));
         check_facade_atomicity(stm::make(spec));
     }
 

@@ -297,7 +297,7 @@ TxStats adversarial_cell(const std::string& spec, Cfg cfg) {
             }
         });
     }
-    arm_mid_run<A>(adapter, cfg.epoch_filter);
+    arm_mid_run<A>(adapter, cfg.filter_stripes != 0);
     stop.store(true, std::memory_order_release);
     for (auto& t : threads) t.join();
 
@@ -363,7 +363,7 @@ void copier_race_cell(const std::string& spec, Cfg cfg) {
             prev_b = b;
         }
     });
-    arm_mid_run<A>(adapter, cfg.epoch_filter);
+    arm_mid_run<A>(adapter, cfg.filter_stripes != 0);
     stop.store(true, std::memory_order_release);
     for (auto& t : threads) t.join();
 
@@ -400,13 +400,13 @@ void check_adversarial_sweep() {
     // Filter off: same workload must stay opaque with zero fast hits --
     // every extension and validation runs the full walk.
     StmConfig lsa_off;
-    lsa_off.epoch_filter = false;
+    lsa_off.filter_stripes = 0;
     const auto lsa_st =
         adversarial_cell<stm::LsaAdapter>("shared", lsa_off);
     CHECK(lsa_st.extension_fast_hits == 0);
     CHECK(lsa_st.validation_fast_hits == 0);
     OrecConfig orec_off;
-    orec_off.epoch_filter = false;
+    orec_off.filter_stripes = 0;
     const auto orec_st =
         adversarial_cell<stm::OrecAdapter>("shared", orec_off);
     CHECK(orec_st.extension_fast_hits == 0);

@@ -131,7 +131,7 @@ template <typename A>
 struct NodeReaper {
     std::atomic<bool> freed{false};
     static void reap(void* p, void* ctx) noexcept {
-        ds::SlotTraits<A>::destroy(p);
+        stm::SlotTraits<A>::destroy(p);
         ::operator delete(p);
         static_cast<NodeReaper*>(ctx)->freed.store(true);
     }
@@ -314,7 +314,7 @@ void check_doomed_reader(const std::string& espec,
                          const std::string& tbspec) {
     stm::Engine eng = stm::make(espec, tb::make(tbspec));
     A& ad = *stm::get_if<A>(eng);
-    using Traits = ds::SlotTraits<A>;
+    using Traits = stm::SlotTraits<A>;
     ds::DirectPolicy<A> pol(ad);
     stm::TxHeap heap;
     ds::TxHandle<ds::DirectPolicy<A>> wh{ad.make_context(), {}, 1};
@@ -407,7 +407,7 @@ void check_history_pinned_read(const std::string& espec,
     using A = stm::LsaAdapter;
     stm::Engine eng = stm::make(espec, tb::make(tbspec));
     A& ad = *stm::get_if<A>(eng);
-    using Traits = ds::SlotTraits<A>;
+    using Traits = stm::SlotTraits<A>;
     ds::DirectPolicy<A> pol(ad);
     stm::TxHeap heap;
     ds::TxHandle<ds::DirectPolicy<A>> wh{ad.make_context(), {}, 1};
@@ -594,7 +594,7 @@ void check_failpoint_parked_reader() {
     using A = stm::LsaAdapter;
     stm::Engine eng = stm::make("lsa");
     A& ad = *stm::get_if<A>(eng);
-    using Traits = ds::SlotTraits<A>;
+    using Traits = stm::SlotTraits<A>;
     ds::DirectPolicy<A> pol(ad);
     stm::TxHeap heap;
     ds::TxHandle<ds::DirectPolicy<A>> wh{ad.make_context(), {}, 1};

@@ -4,8 +4,9 @@
 // covers and readers compare only the stripes their read set touched.
 // These tests pin the stripe-specific behavior:
 //
-//   * geometry: power-of-two rounding, [1,64] clamping, and the orec
-//     engine's table-derived shift (stripe count capped at table size)
+//   * geometry: power-of-two rounding, clamping to 64, 0 (filter off)
+//     kept as 0, and the orec engine's table-derived shift (stripe count
+//     capped at table size)
 //   * the tentpole workload: a writer committing OUTSIDE the reader's
 //     stripes must leave the O(1) extension fast hit intact at the
 //     default striping, while stripes=1 (the PR 7 single word) must drop
@@ -19,8 +20,8 @@
 //   * commit-time validation across interleaved committers in different
 //     stripes stays on the fast path at the default striping and walks
 //     at stripes=1
-//   * filter off: the stripe counters never move, and the engine never
-//     arms
+//   * filter off (stripes=0): the stripe counters never move, and the
+//     engine never arms or bumps, also when made by stm::make
 //   * the stm::make() registry accepts stripes= as a common key
 //   * stripes on demand (DESIGN.md "Stripes on demand"): an unarmed
 //     engine's small commits bump nothing; a walk of kArmWalk entries arms
@@ -76,9 +77,10 @@ void check_geometry() {
     }
     {
         StmConfig cfg;
-        cfg.filter_stripes = 0;  // clamps up to 1
+        cfg.filter_stripes = 0;  // filter off: survives the rounding
         LsaStm stm(tb::make("shared"), cfg);
-        CHECK(stm.filter_stripes() == 1);
+        CHECK(stm.filter_stripes() == 0);
+        CHECK(stm.config().filter_stripes == 0);
     }
     {
         StmConfig cfg;
@@ -329,7 +331,7 @@ void check_interleaved_commit_validation() {
 // move at all (they only account filtered decisions).
 void check_filter_off_counters() {
     StmConfig cfg;
-    cfg.epoch_filter = false;
+    cfg.filter_stripes = 0;
     LsaStm stm(tb::make("shared"), cfg);
     auto* a = new (lsa_buf) TVar<long>(1);
     auto* b = new (lsa_buf + 2 * kBlock) TVar<long>(10);
@@ -380,12 +382,14 @@ void check_registry_key() {
 // ---- stripes on demand ----------------------------------------------------
 
 struct Lsa {
+    using Adapter = stm::LsaAdapter;
     using Stm = LsaStm;
     using Var = TVar<long>;
     using Tx = Transaction;
 };
 
 struct Orec {
+    using Adapter = stm::OrecAdapter;
     using Stm = OrecStm;
     using Var = WordVar<long>;
     using Tx = OrecTransaction;
@@ -413,6 +417,35 @@ void walk_readonly(Ctx& ctx, Clock& side, VarVec<E>& vars, std::uint32_t n) {
     side.get_new_ts();
     CHECK(tx.try_extend_now());
     CHECK(ctx.txn_commit(tx));
+}
+
+// stripes=0 is the filter-off spelling on the registry: an attempt that
+// walks kArmWalk read-log entries arms a stripes=1 engine but never a
+// stripes=0 one, and the stripes=0 engine's update commits bump nothing.
+template <typename E>
+void check_stripes0_never_arms(const char* name) {
+    constexpr std::uint32_t kWalk = E::Stm::kArmWalk;
+    for (const unsigned stripes : {0u, 1u}) {
+        const std::string spec =
+            std::string(name) + ":stripes=" + std::to_string(stripes);
+        const stm::Engine eng = stm::make(spec);
+        typename E::Stm& engine = stm::get_if<typename E::Adapter>(eng)->stm();
+        CHECK_MSG(engine.filter_stripes() == stripes, "%s: %u stripes",
+                  spec.c_str(), engine.filter_stripes());
+        auto ctx = engine.make_context();
+        auto side = engine.time_base().make_thread_clock();
+        auto vars = make_vars<E>(kWalk);
+        walk_readonly<E>(ctx, side, vars, kWalk);
+        CHECK_MSG(engine.filter_armed() == (stripes != 0),
+                  "%s: armed after a kArmWalk walk: %d", spec.c_str(),
+                  engine.filter_armed() ? 1 : 0);
+        ctx.run([&](typename E::Tx& tx) {
+            vars[0]->set(tx, vars[0]->get(tx) + 1);
+        });
+        CHECK_MSG(engine.commit_epoch() == stripes, "%s: %llu bumps",
+                  spec.c_str(),
+                  static_cast<unsigned long long>(engine.commit_epoch()));
+    }
 }
 
 // An unarmed engine's update commits bump no stripe. A walk one entry
@@ -570,6 +603,8 @@ int main() {
     check_registry_key();
     check_arm_trigger<Lsa>("lsa");
     check_arm_trigger<Orec>("orec");
+    check_stripes0_never_arms<Lsa>("lsa");
+    check_stripes0_never_arms<Orec>("orec");
     for (const bool arm_mid : {false, true}) {
         check_no_empty_signature_hit<Lsa>("lsa", arm_mid);
         check_no_empty_signature_hit<Orec>("orec", arm_mid);
